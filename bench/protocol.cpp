@@ -12,6 +12,12 @@
 //                     serialize + wbxml_encode (a node tree of strings per
 //                     request) vs the fused translate_html() writing WML
 //                     text and WBXML from a recycled arena.
+//   station_page      The handset and client half of the same page: a
+//                     WBXML deck in, render metrics and application text
+//                     out. wbxml_decode + serialize + parse_markup twice
+//                     (the station's render parse and the client's text
+//                     parse) + inner_text vs wbxml_decode_to + one
+//                     summarize_page pass over reused outputs.
 //   json_stats_export StatsRegistry::to_json through the rewritten
 //                     JsonWriter (escape/number straight into the buffer,
 //                     fixed-depth levels). No legacy twin survives in the
@@ -41,6 +47,7 @@
 #include "host/http.h"
 #include "middleware/adaptation.h"
 #include "middleware/markup.h"
+#include "middleware/markup_view.h"
 #include "middleware/translate.h"
 #include "middleware/wbxml.h"
 #include "sim/contract.h"
@@ -351,6 +358,60 @@ void BM_WapRequestPath(benchmark::State& state) {
       });
 }
 
+void BM_StationPage(benchmark::State& state) {
+  // The deck the WAP gateway sends for the catalog page.
+  std::string text, deck;
+  middleware::AdaptationConfig cfg;
+  middleware::translate_html(sim::Slice{kCatalogHtml},
+                             middleware::MarkupKind::kWml, cfg, text, &deck);
+
+  struct Page {
+    std::string wml;
+    middleware::PageSummary summary;
+  };
+  auto legacy_once = [&](Page& out) {
+    const auto doc = middleware::wbxml_decode(deck);
+    MCS_ASSERT(doc.has_value(), "the gateway's deck must decode");
+    out.wml = doc->serialize();
+    const middleware::MarkupDocument rendered =
+        parse_markup(out.wml, middleware::MarkupKind::kWml);
+    out.summary.elements = rendered.root.element_count();
+    out.summary.title = rendered.title();
+    out.summary.text =
+        parse_markup(out.wml, middleware::MarkupKind::kWml).root.inner_text();
+  };
+  auto fresh_once = [&](Page& out) {
+    const bool ok = middleware::wbxml_decode_to(deck, out.wml);
+    MCS_ASSERT(ok, "the gateway's deck must decode");
+    middleware::summarize_page(out.wml, out.summary);
+  };
+
+  Page fresh, legacy;
+  fresh_once(fresh);
+  legacy_once(legacy);
+  MCS_ASSERT(fresh.wml == legacy.wml && fresh.wml == text &&
+                 fresh.summary.elements == legacy.summary.elements &&
+                 fresh.summary.title == legacy.summary.title &&
+                 fresh.summary.text == legacy.summary.text,
+             "the one-pass station page diverged from the tree pipeline");
+
+  const std::uint64_t iters = smoke_mode() ? 200 : 20'000;
+  std::uint64_t sink = 0;
+  run_comparison(
+      "station_page", state, iters,
+      [&] {
+        fresh_once(fresh);
+        sink += fresh.wml.size() + fresh.summary.text.size();
+        benchmark::DoNotOptimize(sink);
+      },
+      [&] {
+        Page p;
+        legacy_once(p);
+        sink += p.wml.size() + p.summary.text.size();
+        benchmark::DoNotOptimize(sink);
+      });
+}
+
 void BM_JsonStatsExport(benchmark::State& state) {
   const sim::StatsRegistry reg = make_registry();
 
@@ -384,6 +445,7 @@ void BM_JsonStatsExport(benchmark::State& state) {
 
 BENCHMARK(BM_HttpFormat)->Iterations(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WapRequestPath)->Iterations(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StationPage)->Iterations(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_JsonStatsExport)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 void write_baseline(const std::string& path) {

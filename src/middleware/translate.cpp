@@ -2,10 +2,11 @@
 // materializes four owned trees/strings per response: parse_markup copies
 // every tag/attr/text into MarkupNode strings, html_to_wml copies the tree,
 // adapt_document copies it again, serialize()/wbxml_encode build the output.
-// This file does the same work in one pass over arena-backed nodes whose
-// tags, attributes, and text are slices into the HTML source; the only heap
-// traffic left is the caller's reused output buffer and the recycled arena
-// chunks, both amortized to zero across requests.
+// This file does the same work in one pass over the arena markup view
+// (markup_view.h), whose tags, attributes, and text are slices into the
+// HTML source; the only heap traffic left is the caller's reused output
+// buffer and the recycled arena chunks, both amortized to zero across
+// requests.
 //
 // Byte-exactness is the contract: every rule below is a line-for-line port
 // of the corresponding legacy rule (markup.cpp / adaptation.cpp), and the
@@ -15,370 +16,17 @@
 
 #include "middleware/translate.h"
 
-#include <cctype>
 #include <cstring>
-#include <type_traits>
 
+#include "middleware/markup_view.h"
 #include "middleware/wbxml.h"
 #include "sim/contract.h"
 
 namespace mcs::middleware {
 namespace {
 
-using sim::Arena;
 using sim::BufWriter;
-using sim::Slice;
-
-bool is_space(char c) {
-  return std::isspace(static_cast<unsigned char>(c)) != 0;
-}
-
-Slice trim_ws(Slice s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && is_space(s[b])) ++b;
-  while (e > b && is_space(s[e - 1])) --e;
-  return Slice{s.data() + b, e - b};
-}
-
-// Lowercased view: zero-copy when already lowercase (the common case for
-// machine-generated HTML), arena copy otherwise.
-Slice lower_slice(Arena& arena, Slice s) {
-  bool has_upper = false;
-  for (const char c : s) {
-    if (c >= 'A' && c <= 'Z') {
-      has_upper = true;
-      break;
-    }
-  }
-  if (!has_upper) return s;
-  char* dst = arena.alloc_chars(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    dst[i] = static_cast<char>(
-        std::tolower(static_cast<unsigned char>(s[i])));
-  }
-  return Slice{dst, s.size()};
-}
-
-// Arena-owned concatenation of up to three parts.
-Slice arena_cat(Arena& arena, Slice a, Slice b, Slice c) {
-  const std::size_t total = a.size() + b.size() + c.size();
-  if (total == 0) return {};
-  char* dst = arena.alloc_chars(total);
-  char* p = dst;
-  std::memcpy(p, a.data(), a.size());
-  p += a.size();
-  std::memcpy(p, b.data(), b.size());
-  p += b.size();
-  std::memcpy(p, c.data(), c.size());
-  return Slice{dst, total};
-}
-
-bool is_void_tag(Slice tag) {
-  return tag == "br" || tag == "img" || tag == "hr" || tag == "input" ||
-         tag == "meta" || tag == "link" || tag == "base" || tag == "area" ||
-         tag == "col";
-}
-
-bool is_raw_text_tag(Slice tag) { return tag == "script" || tag == "style"; }
-
-// ---------------------------------------------------------------------------
-// Arena view tree: nodes and attributes are bump-allocated, children and
-// attributes are intrusive singly-linked lists, every string is a Slice.
-
-struct VAttr {
-  Slice name;
-  Slice value;
-  VAttr* next = nullptr;
-};
-
-struct VNode {
-  Slice tag;   // empty for text nodes (and the synthetic root)
-  Slice text;  // text nodes only
-  VAttr* attrs = nullptr;
-  VAttr* attrs_tail = nullptr;
-  VNode* first = nullptr;  // children
-  VNode* last = nullptr;
-  VNode* next = nullptr;  // sibling
-  bool synthetic = false;  // wrap_loose marker (never serialized)
-
-  bool is_text() const { return tag.empty(); }
-};
-
-static_assert(std::is_trivially_copyable_v<VNode> &&
-                  std::is_trivially_copyable_v<VAttr>,
-              "view nodes are raw-arena allocated; they must not need a "
-              "constructor or destructor");
-
-VNode* new_node(Arena& arena) {
-  auto* n = static_cast<VNode*>(arena.allocate(sizeof(VNode), alignof(VNode)));
-  *n = VNode{};
-  return n;
-}
-
-VNode* new_text(Arena& arena, Slice t) {
-  VNode* n = new_node(arena);
-  n->text = t;
-  return n;
-}
-
-VNode* new_element(Arena& arena, Slice tag) {
-  VNode* n = new_node(arena);
-  n->tag = tag;
-  return n;
-}
-
-void add_child(VNode* parent, VNode* child) {
-  if (parent->last != nullptr) {
-    parent->last->next = child;
-  } else {
-    parent->first = child;
-  }
-  parent->last = child;
-}
-
-void add_attr(Arena& arena, VNode* n, Slice name, Slice value) {
-  auto* a = static_cast<VAttr*>(arena.allocate(sizeof(VAttr), alignof(VAttr)));
-  *a = VAttr{name, value, nullptr};
-  if (n->attrs_tail != nullptr) {
-    n->attrs_tail->next = a;
-  } else {
-    n->attrs = a;
-  }
-  n->attrs_tail = a;
-}
-
-const VAttr* find_attr(const VNode* n, Slice name) {
-  for (const VAttr* a = n->attrs; a != nullptr; a = a->next) {
-    if (a->name == name) return a;
-  }
-  return nullptr;
-}
-
-// First element with this tag in document order (self included), mirroring
-// MarkupNode::find.
-const VNode* find_first(const VNode* n, Slice tag) {
-  if (n->tag == tag) return n;
-  for (const VNode* c = n->first; c != nullptr; c = c->next) {
-    if (const VNode* hit = find_first(c, tag); hit != nullptr) return hit;
-  }
-  return nullptr;
-}
-
-// Arena-backed growable pointer stack for the parser's open-element chain.
-class NodeStack {
- public:
-  explicit NodeStack(Arena& arena) : arena_{arena} {}
-
-  void push(VNode* n) {
-    if (size_ == cap_) grow();
-    data_[size_++] = n;
-  }
-  void resize(std::size_t n) {
-    MCS_ASSERT(n <= size_, "NodeStack::resize only shrinks");
-    size_ = n;
-  }
-  VNode* back() const { return data_[size_ - 1]; }
-  VNode* at(std::size_t i) const { return data_[i]; }
-  std::size_t size() const { return size_; }
-
- private:
-  void grow() {
-    const std::size_t new_cap = cap_ == 0 ? 16 : cap_ * 2;
-    auto** fresh = static_cast<VNode**>(
-        arena_.allocate(new_cap * sizeof(VNode*), alignof(VNode*)));
-    if (size_ != 0) std::memcpy(fresh, data_, size_ * sizeof(VNode*));
-    data_ = fresh;
-    cap_ = new_cap;
-  }
-
-  Arena& arena_;
-  VNode** data_ = nullptr;
-  std::size_t size_ = 0;
-  std::size_t cap_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Parser: a slice-for-slice port of markup.cpp's Parser. Every branch and
-// edge case (quote-aware tag ends, raw-text swallowing, stray end tags)
-// matches the legacy behavior; only the storage differs.
-
-class ViewParser {
- public:
-  ViewParser(Slice src, Arena& arena)
-      : src_{src}, arena_{arena}, stack_{arena} {}
-
-  VNode* parse() {
-    VNode* root = new_node(arena_);
-    stack_.push(root);
-    while (pos_ < src_.size()) {
-      if (src_[pos_] == '<') {
-        parse_tag();
-      } else {
-        parse_text();
-      }
-    }
-    return root;
-  }
-
- private:
-  VNode* top() { return stack_.back(); }
-
-  // src_[from, from+len) clamped to the source, like std::string::substr.
-  Slice sub(std::size_t from, std::size_t len) const {
-    if (from >= src_.size()) return {};
-    const std::size_t n = std::min(len, src_.size() - from);
-    return Slice{src_.data() + from, n};
-  }
-
-  void parse_text() {
-    const std::size_t start = pos_;
-    while (pos_ < src_.size() && src_[pos_] != '<') ++pos_;
-    const Slice t = sub(start, pos_ - start);
-    // Collapse pure-whitespace runs between tags; keep meaningful text.
-    if (trim_ws(t).empty()) return;
-    add_child(top(), new_text(arena_, t));
-  }
-
-  void parse_tag() {
-    // pos_ at '<'
-    if (src_.compare(pos_, 4, "<!--") == 0) {
-      const std::size_t end = src_.find("-->", pos_);
-      pos_ = end == Slice::npos ? src_.size() : end + 3;
-      return;
-    }
-    if (pos_ + 1 < src_.size() &&
-        (src_[pos_ + 1] == '!' || src_[pos_ + 1] == '?')) {
-      const std::size_t end = src_.find('>', pos_);
-      pos_ = end == Slice::npos ? src_.size() : end + 1;
-      return;
-    }
-    if (pos_ + 1 < src_.size() && src_[pos_ + 1] == '/') {
-      // End tag.
-      const std::size_t end = src_.find('>', pos_);
-      const Slice name =
-          lower_slice(arena_, trim_ws(sub(pos_ + 2, end - pos_ - 2)));
-      pos_ = end == Slice::npos ? src_.size() : end + 1;
-      close_tag(name);
-      return;
-    }
-    // Start tag.
-    const std::size_t end = find_tag_end(pos_);
-    if (end == Slice::npos) {
-      pos_ = src_.size();
-      return;
-    }
-    Slice inside = sub(pos_ + 1, end - pos_ - 1);
-    pos_ = end + 1;
-    bool self_closing = false;
-    if (!inside.empty() && inside.back() == '/') {
-      self_closing = true;
-      inside.remove_suffix(1);
-    }
-    std::size_t i = 0;
-    while (i < inside.size() &&
-           !std::isspace(static_cast<unsigned char>(inside[i]))) {
-      ++i;
-    }
-    VNode* node = new_element(
-        arena_, lower_slice(arena_, Slice{inside.data(), i}));
-    if (node->tag.empty()) return;
-    parse_attrs(Slice{inside.data() + i, inside.size() - i}, node);
-
-    if (is_raw_text_tag(node->tag) && !self_closing) {
-      // Swallow raw content up to the matching close tag. The legacy parser
-      // searches for "</" + the lowercased tag, so only these two literals
-      // can occur.
-      const char* close = node->tag == "script" ? "</script" : "</style";
-      std::size_t raw_end = src_.find(close, pos_);
-      if (raw_end == Slice::npos) raw_end = src_.size();
-      const Slice raw = sub(pos_, raw_end - pos_);
-      if (!raw.empty()) add_child(node, new_text(arena_, raw));
-      const std::size_t gt = src_.find('>', raw_end);
-      pos_ = gt == Slice::npos ? src_.size() : gt + 1;
-      add_child(top(), node);
-      return;
-    }
-
-    add_child(top(), node);
-    if (!self_closing && !is_void_tag(node->tag)) stack_.push(node);
-  }
-
-  // '>' that terminates the tag, respecting quoted attribute values.
-  std::size_t find_tag_end(std::size_t start) const {
-    char quote = 0;
-    for (std::size_t i = start + 1; i < src_.size(); ++i) {
-      const char c = src_[i];
-      if (quote != 0) {
-        if (c == quote) quote = 0;
-      } else if (c == '"' || c == '\'') {
-        quote = c;
-      } else if (c == '>') {
-        return i;
-      }
-    }
-    return Slice::npos;
-  }
-
-  void parse_attrs(Slice s, VNode* node) {
-    std::size_t i = 0;
-    while (i < s.size()) {
-      while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) {
-        ++i;
-      }
-      if (i >= s.size()) break;
-      const std::size_t name_start = i;
-      while (i < s.size() && s[i] != '=' && s[i] != ' ' && s[i] != '\t' &&
-             s[i] != '\n') {
-        ++i;
-      }
-      const Slice name = lower_slice(
-          arena_, Slice{s.data() + name_start, i - name_start});
-      Slice value;
-      while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) {
-        ++i;
-      }
-      if (i < s.size() && s[i] == '=') {
-        ++i;
-        while (i < s.size() &&
-               std::isspace(static_cast<unsigned char>(s[i]))) {
-          ++i;
-        }
-        if (i < s.size() && (s[i] == '"' || s[i] == '\'')) {
-          const char q = s[i++];
-          const std::size_t vstart = i;
-          while (i < s.size() && s[i] != q) ++i;
-          value = Slice{s.data() + vstart, i - vstart};
-          if (i < s.size()) ++i;
-        } else {
-          const std::size_t vstart = i;
-          while (i < s.size() &&
-                 !std::isspace(static_cast<unsigned char>(s[i]))) {
-            ++i;
-          }
-          value = Slice{s.data() + vstart, i - vstart};
-        }
-      }
-      if (!name.empty()) add_attr(arena_, node, name, value);
-    }
-  }
-
-  void close_tag(Slice name) {
-    // Find the nearest open ancestor with this tag; unwind to it. If none,
-    // ignore the stray end tag (tag-soup tolerance).
-    for (std::size_t i = stack_.size(); i-- > 1;) {
-      if (stack_.at(i)->tag == name) {
-        stack_.resize(i);
-        return;
-      }
-    }
-  }
-
-  Slice src_;
-  Arena& arena_;
-  std::size_t pos_ = 0;
-  NodeStack stack_;
-};
+using namespace view;  // the shared arena markup view (markup_view.h)
 
 // ---------------------------------------------------------------------------
 // Fused translation + adaptation. A port of markup.cpp's translate_node and
@@ -394,18 +42,6 @@ class Xlate {
       : arena_{arena}, cfg_{cfg}, wml_{wml} {}
 
   TranslateCounters counters;
-
-  // Slice holding the concatenated text of all descendant text nodes.
-  Slice inner_text(const VNode& n) {
-    const std::size_t total = text_size(n);
-    if (total == 0) return {};
-    char* buf = arena_.alloc_chars(total);
-    char* p = buf;
-    text_fill(n, p);
-    MCS_INVARIANT(p == buf + total,
-                  "inner_text fill diverged from its size pass");
-    return Slice{buf, total};
-  }
 
   void children(const VNode& from, VNode* to) {
     MCS_ASSERT(to != nullptr, "adapted children need a parent to land in");
@@ -565,24 +201,6 @@ class Xlate {
   }
 
  private:
-  static std::size_t text_size(const VNode& n) {
-    std::size_t total = n.text.size();
-    for (const VNode* c = n.first; c != nullptr; c = c->next) {
-      total += text_size(*c);
-    }
-    return total;
-  }
-
-  static void text_fill(const VNode& n, char*& dst) {
-    if (!n.text.empty()) {
-      std::memcpy(dst, n.text.data(), n.text.size());
-      dst += n.text.size();
-    }
-    for (const VNode* c = n.first; c != nullptr; c = c->next) {
-      text_fill(*c, dst);
-    }
-  }
-
   void emit_wrapped(const VNode& n, VNode* out, Slice tag) {
     VNode* el = new_element(arena_, tag);
     children(n, el);
@@ -601,7 +219,7 @@ class Xlate {
     std::size_t line_len = 0;
     for (const VNode* cell = row.first; cell != nullptr; cell = cell->next) {
       if (cell->tag != "td" && cell->tag != "th") continue;
-      const Slice text = trim_ws(inner_text(*cell));
+      const Slice text = trim_ws(inner_text(arena_, *cell));
       if (text.empty()) continue;
       line_len += (line_len != 0 ? 3 : 0) + text.size();  // " | " separators
     }
@@ -610,7 +228,7 @@ class Xlate {
     char* p = buf;
     for (const VNode* cell = row.first; cell != nullptr; cell = cell->next) {
       if (cell->tag != "td" && cell->tag != "th") continue;
-      const Slice text = trim_ws(inner_text(*cell));
+      const Slice text = trim_ws(inner_text(arena_, *cell));
       if (text.empty()) continue;
       if (p != buf) {
         std::memcpy(p, " | ", 3);
@@ -659,28 +277,8 @@ void wrap_loose_runs(Arena& arena, VNode* card) {
 }
 
 // ---------------------------------------------------------------------------
-// Serialized-size accounting and the size-cap trim, ported from
-// adaptation.cpp. Sizes mirror serialize_node exactly: ' k="v"' per
-// attribute, "/>" for childless void elements, "<tag>...</tag>" otherwise.
-
-std::size_t attrs_bytes(const VNode& n) {
-  std::size_t total = 0;
-  for (const VAttr* a = n.attrs; a != nullptr; a = a->next) {
-    total += 4 + a->name.size() + a->value.size();
-  }
-  return total;
-}
-
-std::size_t ser_size(const VNode& n) {
-  if (n.is_text()) return n.text.size();
-  const std::size_t open = 1 + n.tag.size() + attrs_bytes(n);
-  if (n.first == nullptr && is_void_tag(n.tag)) return open + 2;
-  std::size_t total = open + 1;
-  for (const VNode* c = n.first; c != nullptr; c = c->next) {
-    total += ser_size(*c);
-  }
-  return total + 3 + n.tag.size();
-}
+// The size-cap trim, ported from adaptation.cpp; sizes come from the view's
+// serialized_size(), which mirrors serialize_node exactly.
 
 // Remove the deepest trailing leaf, returning it (nullptr when the tree is
 // already bare) — the counterpart of adaptation.cpp's drop_last_leaf.
@@ -704,7 +302,7 @@ void cap_trim(Arena& arena, VNode* root, const AdaptationConfig& cfg,
               TranslateCounters& counters) {
   std::size_t total = 0;
   for (const VNode* c = root->first; c != nullptr; c = c->next) {
-    total += ser_size(*c);
+    total += serialized_size(*c);
   }
   while (total > cfg.max_serialized_bytes) {
     VNode* popped = drop_last_leaf(root);
@@ -714,7 +312,7 @@ void cap_trim(Arena& arena, VNode* root, const AdaptationConfig& cfg,
     // element ever has children, so no parent flips to the "/>" form.)
     MCS_INVARIANT(popped->first == nullptr,
                   "drop_last_leaf popped a node with children");
-    total -= ser_size(*popped);
+    total -= serialized_size(*popped);
     ++counters.nodes_dropped;
   }
   if (counters.nodes_dropped > 0) {
@@ -731,37 +329,13 @@ void cap_trim(Arena& arena, VNode* root, const AdaptationConfig& cfg,
 }
 
 // ---------------------------------------------------------------------------
-// Emitters: text serialization (serialize_node port) and WBXML compilation
-// (wbxml.cpp Encoder port). The translation emits only WML 1.1 code-page
-// tags and attributes, so the WBXML string table stays empty and the binary
-// streams straight into the caller's buffer.
-
-void serialize_view(const VNode& n, BufWriter& w) {
-  if (n.is_text()) {
-    w.put(n.text);
-    return;
-  }
-  w.ch('<').put(n.tag);
-  for (const VAttr* a = n.attrs; a != nullptr; a = a->next) {
-    w.ch(' ').put(a->name).put("=\"").put(a->value).ch('"');
-  }
-  if (n.first == nullptr && is_void_tag(n.tag)) {
-    w.put("/>");
-    return;
-  }
-  w.ch('>');
-  for (const VNode* c = n.first; c != nullptr; c = c->next) {
-    serialize_view(*c, w);
-  }
-  w.put("</").put(n.tag).ch('>');
-}
-
-constexpr char kWbxmlStrI = 0x03;
-constexpr char kWbxmlEnd = 0x01;
+// WBXML compilation (wbxml.cpp Encoder port). The translation emits only
+// WML 1.1 code-page tags and attributes, so the WBXML string table stays
+// empty and the binary streams straight into the caller's buffer.
 
 void wbxml_view(const VNode& n, BufWriter& w) {
   if (n.is_text()) {
-    w.ch(kWbxmlStrI).put(n.text).ch('\0');
+    w.ch(wbxml::kStrI).put(n.text).ch('\0');
     return;
   }
   std::uint8_t token = wml_tag_token(n.tag);
@@ -771,8 +345,8 @@ void wbxml_view(const VNode& n, BufWriter& w) {
              "updating the fused encoder");
   const bool has_content = n.first != nullptr;
   const bool has_attrs = n.attrs != nullptr;
-  if (has_content) token |= 0x40;
-  if (has_attrs) token |= 0x80;
+  if (has_content) token |= wbxml::kContentFlag;
+  if (has_attrs) token |= wbxml::kAttrFlag;
   w.ch(static_cast<char>(token));
   if (has_attrs) {
     for (const VAttr* a = n.attrs; a != nullptr; a = a->next) {
@@ -780,30 +354,16 @@ void wbxml_view(const VNode& n, BufWriter& w) {
       MCS_ASSERT(at != 0, "translated decks use only WML 1.1 code-page "
                           "attributes");
       w.ch(static_cast<char>(at));
-      if (!a->value.empty()) w.ch(kWbxmlStrI).put(a->value).ch('\0');
+      if (!a->value.empty()) w.ch(wbxml::kStrI).put(a->value).ch('\0');
     }
-    w.ch(kWbxmlEnd);
+    w.ch(wbxml::kEnd);
   }
   if (has_content) {
     for (const VNode* c = n.first; c != nullptr; c = c->next) {
       wbxml_view(*c, w);
     }
-    w.ch(kWbxmlEnd);
+    w.ch(wbxml::kEnd);
   }
-}
-
-// Document title, mirroring MarkupDocument::title(): the first <title>'s
-// trimmed inner text, else a <card>'s title attribute, else empty.
-Slice doc_title(Xlate& x, const VNode* parsed) {
-  if (const VNode* t = find_first(parsed, "title"); t != nullptr) {
-    return trim_ws(x.inner_text(*t));
-  }
-  if (const VNode* card = find_first(parsed, "card"); card != nullptr) {
-    if (const VAttr* v = find_attr(card, "title"); v != nullptr) {
-      return v->value;
-    }
-  }
-  return {};
 }
 
 }  // namespace
@@ -818,12 +378,10 @@ TranslateCounters translate_html(sim::Slice html, MarkupKind target,
              "WBXML compilation is defined for WML decks only");
   // Per-thread recycled arenas: a request's nodes and slices cost pointer
   // bumps into warmed chunks, released wholesale when the lease ends.
-  static thread_local sim::ArenaPool t_pool;
-  const auto lease = t_pool.acquire();
+  const auto lease = arenas().acquire();
   Arena& arena = *lease;
 
-  ViewParser parser{html, arena};
-  VNode* parsed = parser.parse();
+  const VNode* parsed = parse_view(html, arena);
 
   const bool wml = target == MarkupKind::kWml;
   Xlate x{arena, cfg, wml};
@@ -832,7 +390,7 @@ TranslateCounters translate_html(sim::Slice html, MarkupKind target,
     VNode* deck = new_element(arena, "wml");
     VNode* card = new_element(arena, "card");
     add_attr(arena, card, "id", "main");
-    if (const Slice title = doc_title(x, parsed); !title.empty()) {
+    if (const Slice title = title_of(arena, parsed); !title.empty()) {
       add_attr(arena, card, "title", title);
     }
     x.children(*parsed, card);
@@ -860,7 +418,8 @@ TranslateCounters translate_html(sim::Slice html, MarkupKind target,
     bw.need(text_out.size() / 2 + 16);
     // WBXML 1.3 header: version, WML 1.1 public id, UTF-8, empty string
     // table (the translation never needs the LITERAL mechanism).
-    bw.ch(0x03).ch(0x04).ch(0x6A).ch(0x00);
+    bw.ch(wbxml::kVersion13).ch(wbxml::kPublicIdWml11)
+        .ch(wbxml::kCharsetUtf8).ch(0x00);
     for (const VNode* c = root->first; c != nullptr; c = c->next) {
       wbxml_view(*c, bw);
     }

@@ -1,5 +1,6 @@
 #include "middleware/wbxml.h"
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -10,16 +11,7 @@ namespace mcs::middleware {
 
 namespace {
 
-// WBXML global tokens.
-constexpr std::uint8_t kEnd = 0x01;
-constexpr std::uint8_t kStrI = 0x03;     // inline NUL-terminated string
-constexpr std::uint8_t kLiteral = 0x04;  // tag from string table
-constexpr std::uint8_t kLiteralC = 0x44; // literal with content
-constexpr std::uint8_t kContentFlag = 0x40;
-
-constexpr std::uint8_t kVersion13 = 0x03;
-constexpr std::uint8_t kPublicIdWml11 = 0x04;
-constexpr std::uint8_t kCharsetUtf8 = 0x6A;
+using namespace wbxml;  // token constants (wbxml.h)
 
 // WML 1.1 tag tokens (code page 0), per the WAP binary XML content format.
 // Transparent comparator: the fused pipeline looks names up by slice.
@@ -52,6 +44,14 @@ const std::map<std::string, std::uint8_t, std::less<>>& attr_tokens() {
       {"type", 0x37},           {"value", 0x39},  {"width", 0x3E},
   };
   return kAttrs;
+}
+
+// token -> name; tokens are unique within a code page.
+std::array<std::string_view, 256> invert(
+    const std::map<std::string, std::uint8_t, std::less<>>& tokens) {
+  std::array<std::string_view, 256> names{};
+  for (const auto& [name, token] : tokens) names[token] = name;
+  return names;
 }
 
 void write_mb_u32(std::string& out, std::uint32_t v) {
@@ -124,7 +124,7 @@ class Encoder {
       literal = true;
     }
     if (has_content) token |= kContentFlag;
-    if (has_attrs) token |= 0x80;
+    if (has_attrs) token |= kAttrFlag;
     out.push_back(static_cast<char>(token));
     if (literal) write_mb_u32(out, intern(n.tag));
 
@@ -206,34 +206,20 @@ class Decoder {
     return string_table_.substr(offset, end - offset);
   }
 
-  std::string tag_for(std::uint8_t token) const {
-    for (const auto& [name, t] : tag_tokens()) {
-      if (t == token) return name;
-    }
-    return "";
-  }
-
-  std::string attr_for(std::uint8_t token) const {
-    for (const auto& [name, t] : attr_tokens()) {
-      if (t == token) return name;
-    }
-    return "";
-  }
-
   std::optional<MarkupNode> decode_node() {
     if (pos_ >= b_.size()) return std::nullopt;
     const auto token = static_cast<std::uint8_t>(b_[pos_++]);
     if (token == kStrI) {
       return MarkupNode::text_node(read_cstr());
     }
-    const bool has_attrs = (token & 0x80) != 0;
+    const bool has_attrs = (token & kAttrFlag) != 0;
     const bool has_content = (token & kContentFlag) != 0;
     const std::uint8_t base = token & 0x3F;
     MarkupNode node;
     if (base == kLiteral) {
       node.tag = table_string(read_mb_u32());
     } else {
-      node.tag = tag_for(base);
+      node.tag = wml_tag_name(base);
       if (node.tag.empty()) return std::nullopt;
     }
     if (has_attrs) {
@@ -241,7 +227,7 @@ class Decoder {
              static_cast<std::uint8_t>(b_[pos_]) != kEnd) {
         const auto at = static_cast<std::uint8_t>(b_[pos_++]);
         std::string name = at == kLiteral ? table_string(read_mb_u32())
-                                          : attr_for(at);
+                                          : std::string{wml_attr_name(at)};
         if (name.empty()) return std::nullopt;
         std::string value;
         if (pos_ < b_.size() &&
@@ -285,6 +271,17 @@ std::uint8_t wml_attr_token(std::string_view name) {
   const auto& attrs = attr_tokens();
   const auto it = attrs.find(name);
   return it == attrs.end() ? 0 : it->second;
+}
+
+std::string_view wml_tag_name(std::uint8_t token) {
+  static const std::array<std::string_view, 256> kNames = invert(tag_tokens());
+  return kNames[token];
+}
+
+std::string_view wml_attr_name(std::uint8_t token) {
+  static const std::array<std::string_view, 256> kNames =
+      invert(attr_tokens());
+  return kNames[token];
 }
 
 std::string wbxml_encode(const MarkupDocument& wml) {

@@ -1,5 +1,6 @@
 #include "station/browser.h"
 
+#include "middleware/markup_view.h"
 #include "sim/arena.h"
 #include "sim/logging.h"
 #include "sim/util.h"
@@ -50,15 +51,11 @@ void MicroBrowser::browse(const std::string& url, PageCallback cb) {
   if (auto hit = cache_.get(url); hit.has_value()) {
     stats_.counter("cache_hits").add();
     obs::metric_add(m_cache_hits_);
-    PageResult r = *hit;
+    PageResult r = std::move(*hit);
     r.from_cache = true;
     r.network_time = sim::Time::zero();
-    const middleware::MarkupDocument doc = middleware::parse_markup(
-        r.content, cfg_.mode == BrowserMode::kWap ? middleware::MarkupKind::kWml
-                                                  : middleware::MarkupKind::kChtml);
     r.render_time = sim::Time::millis(static_cast<std::int64_t>(
-        device_.render_ms_per_element() *
-        static_cast<double>(doc.root.element_count())));
+        device_.render_ms_per_element() * static_cast<double>(r.elements)));
     battery_.drain_cpu(r.render_time);
     const obs::TraceContext render = obs::begin_child(
         page, obs::Component::kStation, "parse_render", started);
@@ -102,7 +99,7 @@ void MicroBrowser::browse(const std::string& url, PageCallback cb) {
       cb(std::move(r));
       return;
     }
-    const std::size_t air = resp->serialize().size();
+    const std::size_t air = resp->wire_size();
     battery_.drain_rx_bytes(air);
     finish_with_content(url, resp->status, std::move(resp->body), air,
                         started, /*was_wbxml=*/false, page, std::move(cb));
@@ -215,29 +212,29 @@ void MicroBrowser::finish_with_content(const std::string& url, int status,
   r.network_time = station_.sim().now() - started;
 
   // Decode WBXML decks back to WML text.
-  if (was_wbxml) {
-    const auto doc = middleware::wbxml_decode(content);
-    if (!doc.has_value()) {
-      stats_.counter("decode_errors").add();
-      r.ok = false;
-      r.total_time = station_.sim().now() - started;
-      cb(std::move(r));
-      return;
-    }
-    content = doc->serialize();
+  if (!was_wbxml) {
+    r.content = std::move(content);
+  } else if (!middleware::wbxml_decode_to(content, r.content)) {
+    stats_.counter("decode_errors").add();
+    r.ok = false;
+    r.total_time = station_.sim().now() - started;
+    cb(std::move(r));
+    return;
   }
-  r.content = std::move(content);
 
-  const middleware::MarkupDocument doc = middleware::parse_markup(
-      r.content, cfg_.mode == BrowserMode::kWap ? middleware::MarkupKind::kWml
-                                                : middleware::MarkupKind::kChtml);
-  r.title = doc.title();
+  // One arena pass yields everything the handset and the application need
+  // from the page; the cached copy carries it, so a hit never re-parses.
+  middleware::PageSummary summary;
+  middleware::summarize_page(r.content, summary);
+  r.title = std::move(summary.title);
+  r.text = std::move(summary.text);
+  r.elements = summary.elements;
   r.parse_time = sim::Time::micros(static_cast<std::int64_t>(
       device_.parse_ms_per_kb() * 1000.0 *
       static_cast<double>(r.content.size()) / 1024.0));
   r.render_time = sim::Time::millis(static_cast<std::int64_t>(
       device_.render_ms_per_element() *
-      static_cast<double>(doc.root.element_count())));
+      static_cast<double>(r.elements)));
   battery_.drain_cpu(r.parse_time + r.render_time);
 
   if (r.ok) {

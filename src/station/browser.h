@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "security/wtls.h"
-#include "middleware/wbxml.h"
 #include "station/battery.h"
 #include "station/cache.h"
 #include "station/device.h"
@@ -41,6 +40,8 @@ class MicroBrowser {
     int status = 0;
     std::string title;
     std::string content;        // decoded markup (WML or cHTML text)
+    std::string text;           // the page's text content, markup stripped
+    std::size_t elements = 0;   // element count; render time scales with it
     std::size_t over_air_bytes = 0;
     bool from_cache = false;
     sim::Time network_time;
@@ -66,12 +67,6 @@ class MicroBrowser {
   bool wtls_established() const { return wtls_channel_.has_value(); }
 
  private:
-  struct CachedPage {
-    std::string content;
-    std::string title;
-    int status = 0;
-  };
-
   // `page` is the browse span (obs/trace.h); parse/render child spans and
   // outgoing-request stamping hang off it.
   void finish_with_content(const std::string& url, int status,

@@ -246,6 +246,22 @@ TEST_F(GatewayFixture, IModeGatewayServesChtml) {
   EXPECT_EQ(gw.stats().requests, 1u);
 }
 
+TEST_F(GatewayFixture, IModeResponseWireSizeMatchesSerializedBytes) {
+  // The handset prices i-mode air bytes with wire_size(), which must equal
+  // the serialized response it stands in for (status line, headers, body).
+  IModeGateway gw{*gw_tcp, dotted_quad_resolver()};
+  host::HttpClient phone_http{*phone_tcp};
+  std::optional<host::HttpResponse> got;
+  phone_http.get({gateway->addr(), kIModeGatewayPort},
+                 "/" + web_host() + "/index.html",
+                 [&](std::optional<host::HttpResponse> r) { got = r; });
+  sim.run();
+  ASSERT_TRUE(got.has_value());
+  ASSERT_FALSE(got->headers.empty());
+  ASSERT_FALSE(got->body.empty());
+  EXPECT_EQ(got->wire_size(), got->serialize().size());
+}
+
 TEST_F(GatewayFixture, IModePersistentConnectionHandlesManyRequests) {
   IModeGateway gw{*gw_tcp, dotted_quad_resolver()};
   host::HttpClient phone_http{*phone_tcp};

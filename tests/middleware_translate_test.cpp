@@ -11,6 +11,7 @@
 
 #include "middleware/adaptation.h"
 #include "middleware/markup.h"
+#include "middleware/markup_view.h"
 #include "middleware/translate.h"
 #include "middleware/wbxml.h"
 #include "sim/random.h"
@@ -213,6 +214,39 @@ TEST(TranslateBuffers, OutputBuffersAreClearedAndReusedAcrossCalls) {
   translate_html(kCorpus[0], MarkupKind::kWml, cfg, text, &wbxml);
   EXPECT_EQ(text, first_text);
   EXPECT_EQ(wbxml, first_wbxml);
+}
+
+// --- Empty slices ----------------------------------------------------------
+// A default-constructed Slice has a null data(); concatenation must skip it
+// rather than hand memcpy a null source (UBSan flags that even for n = 0).
+
+TEST(ArenaCat, EmptyAndDefaultPartsContributeNothing) {
+  sim::Arena arena;
+  const sim::Slice none;
+  const sim::Slice empty{""};
+  EXPECT_TRUE(view::arena_cat(arena, none, none, none).empty());
+  EXPECT_TRUE(view::arena_cat(arena, empty, none, empty).empty());
+  EXPECT_EQ(view::arena_cat(arena, none, "ab", none), "ab");
+  EXPECT_EQ(view::arena_cat(arena, "a", none, "c"), "ac");
+  EXPECT_EQ(view::arena_cat(arena, empty, empty, "xyz"), "xyz");
+  EXPECT_EQ(view::arena_cat(arena, "1", ". ", none), "1. ");
+}
+
+TEST(ArenaCat, TranslationsThatConcatenateEmptyPartsMatchLegacy) {
+  // Ordered-list bullets and truncation markers pass a default Slice as the
+  // third part; empty alt text reaches the image rule.
+  AdaptationConfig tiny_text;
+  tiny_text.max_text_run = 3;
+  for (const char* src :
+       {"<ol><li>one</li><li>two</li></ol>", "<p>truncate me</p>",
+        "<img alt=''><img alt='x'>", "<ol><li></li></ol>"}) {
+    for (const AdaptationConfig& cfg : {AdaptationConfig{}, tiny_text}) {
+      expect_equivalent(src, MarkupKind::kWml, cfg, /*want_wbxml=*/true,
+                        "empty-parts");
+      expect_equivalent(src, MarkupKind::kChtml, cfg, /*want_wbxml=*/false,
+                        "empty-parts");
+    }
+  }
 }
 
 TEST(TranslateBuffers, WbxmlHeaderIsCanonicalEmptyStringTable) {

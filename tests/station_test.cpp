@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "middleware/markup.h"
 #include "net/network.h"
 #include "station/browser.h"
 #include "station/cache.h"
@@ -229,6 +230,39 @@ TEST_F(BrowserFixture, SecondVisitServedFromCache) {
   EXPECT_TRUE(second->from_cache);
   EXPECT_TRUE(second->network_time.is_zero());
   EXPECT_EQ(browser->cache().hits(), 1u);
+}
+
+TEST_F(BrowserFixture, PageTextAndRenderCostMatchReferenceParse) {
+  // The one-pass summary must report what the reference tree reports for
+  // the delivered deck, on a fetch and again on a cache hit (which prices
+  // its render from the cached element count instead of re-parsing).
+  for (const BrowserMode mode : {BrowserMode::kWap, BrowserMode::kImode}) {
+    auto browser = make_browser(mode, ipaq_h3870());
+    std::optional<MicroBrowser::PageResult> first;
+    std::optional<MicroBrowser::PageResult> second;
+    browser->browse(url(), [&](MicroBrowser::PageResult r) { first = r; });
+    sim.run();
+    browser->browse(url(), [&](MicroBrowser::PageResult r) { second = r; });
+    sim.run();
+    ASSERT_TRUE(first.has_value());
+    ASSERT_TRUE(second.has_value());
+    ASSERT_TRUE(first->ok);
+    EXPECT_FALSE(first->from_cache);
+    EXPECT_TRUE(second->from_cache);
+    const middleware::MarkupDocument ref =
+        middleware::parse_markup(first->content, middleware::MarkupKind::kWml);
+    for (const MicroBrowser::PageResult* r : {&*first, &*second}) {
+      EXPECT_EQ(r->content, first->content);
+      EXPECT_EQ(r->title, ref.title());
+      EXPECT_EQ(r->text, ref.root.inner_text());
+      EXPECT_EQ(r->elements, ref.root.element_count());
+      EXPECT_EQ(r->render_time,
+                sim::Time::millis(static_cast<std::int64_t>(
+                    ipaq_h3870().render_ms_per_element() *
+                    static_cast<double>(ref.root.element_count()))));
+    }
+    EXPECT_NE(first->text.find("Body text for the page"), std::string::npos);
+  }
 }
 
 TEST_F(BrowserFixture, SlowerDeviceSpendsMoreCpuTime) {
