@@ -1,7 +1,9 @@
 #include "core/apps.h"
 
+#include <algorithm>
 #include <cstdlib>
 
+#include "sim/arena.h"
 #include "sim/util.h"
 
 namespace mcs::core {
@@ -17,9 +19,9 @@ namespace {
 
 // Wrap application text in a small HTML page so the middleware has real
 // markup to translate (headings, paragraphs, links).
-std::string html_page(const std::string& title, const std::string& body) {
-  return "<html><head><title>" + title + "</title></head><body><h1>" + title +
-         "</h1>" + body + "</body></html>";
+std::string html_page(sim::Slice title, sim::Slice body) {
+  return sim::cat("<html><head><title>", title, "</title></head><body><h1>",
+                  title, "</h1>", body, "</body></html>");
 }
 
 // ---------------------------------------------------------------------------
@@ -63,24 +65,38 @@ class CommerceApp final : public Application {
           respond(HttpResponse::server_error("db down"));
           return;
         }
-        // Convert string rows to typed rows for the personalizer.
-        std::vector<host::db::Row> rows;
-        for (const auto& f : r.rows) {
-          if (f.size() < 5) continue;
-          rows.push_back({static_cast<std::int64_t>(std::atoll(f[0].c_str())),
-                          f[1], f[2], std::atof(f[3].c_str()),
-                          static_cast<std::int64_t>(std::atoll(f[4].c_str()))});
+        // Rank views into the result; the page copies id, name and price
+        // straight from the wire fields (their text is what to_string() of
+        // the typed value prints: "%lld" and "%.6g" round-trip exactly).
+        std::vector<CatalogItem>& items = catalog_items_;
+        items.clear();
+        for (std::size_t i = 0; i < r.rows.size(); ++i) {
+          const auto row = r.rows[i];
+          if (row.size() < 5) continue;
+          items.push_back({row[2], std::atof(row[3].data()), i});
         }
-        rows = env_.personalization->personalize_catalog(user, std::move(rows),
-                                                         2, 3);
-        std::string body = "<ul>";
-        for (std::size_t i = 0; i < rows.size() && i < 10; ++i) {
-          body += strf("<li><a href=\"/shop/buy?item=%s\">%s ($%s)</a></li>",
-                       host::db::to_string(rows[i][0]).c_str(),
-                       host::db::to_string(rows[i][1]).c_str(),
-                       host::db::to_string(rows[i][3]).c_str());
+        env_.personalization->personalize_catalog(user, items);
+        const std::size_t shown = std::min<std::size_t>(items.size(), 10);
+        constexpr sim::Slice kOpen = "<li><a href=\"/shop/buy?item=";
+        constexpr sim::Slice kName = "\">";
+        constexpr sim::Slice kPrice = " ($";
+        constexpr sim::Slice kClose = ")</a></li>";
+        std::size_t est = 9;  // <ul></ul>
+        for (std::size_t i = 0; i < shown; ++i) {
+          const auto row = r.rows[items[i].row];
+          est += kOpen.size() + kName.size() + kPrice.size() + kClose.size() +
+                 row[0].size() + row[1].size() + row[3].size();
         }
-        body += "</ul>";
+        const std::string body = sim::build(est, [&](std::string& out) {
+          sim::BufWriter w{out};
+          w.put("<ul>");
+          for (std::size_t i = 0; i < shown; ++i) {
+            const auto row = r.rows[items[i].row];
+            w.put(kOpen).put(row[0]).put(kName).put(row[1]).put(kPrice)
+                .put(row[3]).put(kClose);
+          }
+          w.put("</ul>");
+        });
         respond(HttpResponse::make(200, "text/html",
                                    html_page("Catalog", body)));
       });
@@ -102,8 +118,8 @@ class CommerceApp final : public Application {
           respond(HttpResponse::not_found("item " + item));
           return;
         }
-        const double price = std::atof(r.rows[0][3].c_str());
-        const auto stock = std::atoll(r.rows[0][4].c_str());
+        const double price = std::atof(r.rows[0][3].data());
+        const auto stock = std::atoll(r.rows[0][4].data());
         if (stock <= 0) {
           respond(HttpResponse::make(409, "text/html",
                                      html_page("Sold out", "<p>0 left</p>")));
@@ -111,7 +127,7 @@ class CommerceApp final : public Application {
         }
         env_.personalization->record_interest(user, r.rows[0][2]);
         env_.payments->charge(
-            key, user, price, r.rows[0][1],
+            key, user, price, std::string{r.rows[0][1]},
             [item, stock, ctx, respond](PaymentCoordinator::Outcome o) mutable {
           if (!o.ok) {
             respond(HttpResponse::make(
@@ -162,6 +178,8 @@ class CommerceApp final : public Application {
 
  private:
   AppEnvironment env_;
+  // Reused across catalog requests: ranking allocates nothing once warm.
+  std::vector<CatalogItem> catalog_items_;
 };
 
 // ---------------------------------------------------------------------------
@@ -269,7 +287,7 @@ class ErpApp final : public Application {
         respond(HttpResponse::make(
             200, "text/html",
             html_page("Resource",
-                      "<p>AVAILABLE " + r.rows[0][1] + "</p>")));
+                      sim::cat("<p>AVAILABLE ", r.rows[0][1], "</p>"))));
       });
     });
     env.programs->install("GET", "/erp/allocate",
@@ -283,7 +301,7 @@ class ErpApp final : public Application {
           respond(HttpResponse::not_found(id));
           return;
         }
-        const auto avail = std::atoll(r.rows[0][1].c_str());
+        const auto avail = std::atoll(r.rows[0][1].data());
         if (avail < qty) {
           respond(HttpResponse::make(
               409, "text/html", html_page("ERP", "<p>ALLOC-DENIED</p>")));
@@ -431,8 +449,8 @@ class HealthCareApp final : public Application {
         respond(HttpResponse::make(
             200, "text/html",
             html_page("Record " + id,
-                      "<p>RECORD " + r.rows[0][1] + ": " + r.rows[0][2] +
-                          "</p>")));
+                      sim::cat("<p>RECORD ", r.rows[0][1], ": ", r.rows[0][2],
+                               "</p>"))));
       });
     });
   }
@@ -533,8 +551,8 @@ class InventoryApp final : public Application {
         }
         respond(HttpResponse::make(
             200, "text/html",
-            html_page("Track", "<p>AT " + r.rows[0][1] + "," + r.rows[0][2] +
-                                   "</p>")));
+            html_page("Track", sim::cat("<p>AT ", r.rows[0][1], ",",
+                                        r.rows[0][2], "</p>"))));
       });
     });
   }
@@ -616,11 +634,14 @@ class TrafficApp final : public Application {
           respond(HttpResponse::server_error("db"));
           return;
         }
-        std::string body = "<p>ADVISORIES</p><ul>";
-        for (const auto& row : r.rows) {
-          if (row.size() >= 3) body += "<li>" + row[2] + "</li>";
+        std::string body;
+        sim::BufWriter w{body};
+        w.put("<p>ADVISORIES</p><ul>");
+        for (std::size_t i = 0; i < r.rows.size(); ++i) {
+          const auto row = r.rows[i];
+          if (row.size() >= 3) w.put("<li>").put(row[2]).put("</li>");
         }
-        body += "</ul>";
+        w.put("</ul>");
         respond(HttpResponse::make(200, "text/html",
                                    html_page("Traffic", body)));
       });
@@ -688,14 +709,17 @@ class TravelApp final : public Application {
           respond(HttpResponse::server_error("db"));
           return;
         }
-        std::string body = "<p>FLIGHTS</p><ul>";
-        for (const auto& row : r.rows) {
+        std::string body;
+        sim::BufWriter w{body};
+        w.put("<p>FLIGHTS</p><ul>");
+        for (std::size_t i = 0; i < r.rows.size(); ++i) {
+          const auto row = r.rows[i];
           if (row.size() >= 4) {
-            body += "<li>" + row[0] + " $" + row[2] + " seats:" + row[3] +
-                    "</li>";
+            w.put("<li>").put(row[0]).put(" $").put(row[2]).put(" seats:")
+                .put(row[3]).put("</li>");
           }
         }
-        body += "</ul>";
+        w.put("</ul>");
         respond(HttpResponse::make(200, "text/html",
                                    html_page("Search", body)));
       });
@@ -712,8 +736,8 @@ class TravelApp final : public Application {
           respond(HttpResponse::not_found(flight));
           return;
         }
-        const double price = std::atof(r.rows[0][2].c_str());
-        const auto seats = std::atoll(r.rows[0][3].c_str());
+        const double price = std::atof(r.rows[0][2].data());
+        const auto seats = std::atoll(r.rows[0][3].data());
         if (seats <= 0) {
           respond(HttpResponse::make(
               409, "text/html", html_page("Booking", "<p>SOLD-OUT</p>")));

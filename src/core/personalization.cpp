@@ -18,53 +18,39 @@ bool PersonalizationEngine::forget(const std::string& user_id) {
   return profiles_.erase(user_id) > 0;
 }
 
-std::vector<host::db::Row> PersonalizationEngine::personalize_catalog(
-    const std::string& user_id, std::vector<host::db::Row> rows,
-    std::size_t category_col, std::size_t price_col) const {
+void PersonalizationEngine::personalize_catalog(
+    const std::string& user_id, std::vector<CatalogItem>& items) const {
   const UserProfile* p = profile(user_id);
-  if (p == nullptr) return rows;
+  if (p == nullptr) return;
 
-  auto interest_rank = [p](const std::string& category) -> std::size_t {
+  auto interest_rank = [p](std::string_view category) -> std::size_t {
     for (std::size_t i = 0; i < p->interests.size(); ++i) {
       if (p->interests[i] == category) return i;
     }
     return p->interests.size();
   };
-  auto price_of = [price_col](const host::db::Row& r) {
-    if (price_col < r.size() && std::holds_alternative<double>(r[price_col])) {
-      return std::get<double>(r[price_col]);
-    }
-    return 0.0;
-  };
-  auto category_of = [category_col](const host::db::Row& r) -> std::string {
-    if (category_col < r.size() &&
-        std::holds_alternative<std::string>(r[category_col])) {
-      return std::get<std::string>(r[category_col]);
-    }
-    return "";
-  };
-
-  // Filter by affordability, then stable-sort by (interest rank, price).
-  std::erase_if(rows, [&](const host::db::Row& r) {
-    return price_of(r) > p->spending_limit;
+  // Filter by affordability, then sort by (interest rank, price, row): the
+  // row tie-break gives the stable order without stable_sort's buffer.
+  std::erase_if(items, [&](const CatalogItem& it) {
+    return it.price > p->spending_limit;
   });
-  std::stable_sort(rows.begin(), rows.end(),
-                   [&](const host::db::Row& a, const host::db::Row& b) {
-                     const auto ra = interest_rank(category_of(a));
-                     const auto rb = interest_rank(category_of(b));
-                     if (ra != rb) return ra < rb;
-                     return price_of(a) < price_of(b);
-                   });
-  return rows;
+  std::sort(items.begin(), items.end(),
+            [&](const CatalogItem& a, const CatalogItem& b) {
+              const auto ra = interest_rank(a.category);
+              const auto rb = interest_rank(b.category);
+              if (ra != rb) return ra < rb;
+              if (a.price != b.price) return a.price < b.price;
+              return a.row < b.row;
+            });
 }
 
 void PersonalizationEngine::record_interest(const std::string& user_id,
-                                            const std::string& category) {
+                                            std::string_view category) {
   auto it = profiles_.find(user_id);
   if (it == profiles_.end()) return;
   auto& interests = it->second.interests;
   std::erase(interests, category);
-  interests.insert(interests.begin(), category);
+  interests.emplace(interests.begin(), category);
 }
 
 }  // namespace mcs::core

@@ -4,9 +4,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
-
-#include "host/db/value.h"
 
 namespace mcs::core {
 
@@ -21,6 +20,14 @@ struct UserProfile {
   std::map<std::string, std::string> preferences;  // free-form key/value
 };
 
+// One catalog row as the personaliser ranks it. `category` views the
+// caller's query result; `row` is the row's position in that result.
+struct CatalogItem {
+  std::string_view category;
+  double price = 0.0;
+  std::size_t row = 0;
+};
+
 class PersonalizationEngine {
  public:
   void upsert_profile(UserProfile profile);
@@ -28,18 +35,15 @@ class PersonalizationEngine {
   bool forget(const std::string& user_id);
   std::size_t profile_count() const { return profiles_.size(); }
 
-  // Rank catalog rows for a user: affordable items first, ordered by how
-  // early the item's category appears in the user's interests, then by
-  // price. Rows must have columns (id, name, category, price, ...) with
-  // `category_col` and `price_col` giving the positions. Unknown users get
-  // the rows unchanged.
-  std::vector<host::db::Row> personalize_catalog(
-      const std::string& user_id, std::vector<host::db::Row> rows,
-      std::size_t category_col, std::size_t price_col) const;
+  // Rank catalog items for a user in place: items priced over the user's
+  // spending limit are dropped, the rest ordered by how early the item's
+  // category appears in the user's interests, then by price, then by `row`
+  // (so ties keep result order). Unknown users get the items unchanged.
+  void personalize_catalog(const std::string& user_id,
+                           std::vector<CatalogItem>& items) const;
 
   // Track interactions so interests adapt: bump `category` to the front.
-  void record_interest(const std::string& user_id,
-                       const std::string& category);
+  void record_interest(const std::string& user_id, std::string_view category);
 
  private:
   std::map<std::string, UserProfile> profiles_;

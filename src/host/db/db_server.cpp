@@ -55,37 +55,6 @@ std::string unesc(const std::string& s) {
   return sim::build(s.size(), [&](std::string& out) { unesc_append(out, s); });
 }
 
-std::string join_fields(const std::vector<std::string>& fields) {
-  std::size_t est = fields.size();
-  for (const auto& f : fields) est += f.size();
-  return sim::build(est, [&](std::string& out) {
-    sim::BufWriter w{out};
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      if (i > 0) w.ch('|');
-      esc_append(w, fields[i]);
-    }
-  });
-}
-
-std::vector<std::string> split_fields(const std::string& s) {
-  // Client-side decoding hands owned strings to the caller, so the fields
-  // must materialize; count separators first so the vector is sized once.
-  std::size_t nf = 1;
-  for (char c : s) nf += c == '|' ? 1 : 0;
-  std::vector<std::string> out;
-  out.resize(nf);
-  std::size_t start = 0;
-  std::size_t idx = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == '|') {
-      unesc_append(out[idx], sim::Slice{s.data() + start, i - start});
-      ++idx;
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 namespace {
 
 // Split on ' ' exactly as sim::split would (empty fields count toward the
@@ -161,6 +130,27 @@ void encode_row(sim::BufWriter& w, const Row& row) {
   }
 }
 
+// "ROWS <n>" plus one line per row that `visit` hands to its emitter,
+// encoded straight from table storage. Rows land in a reused per-thread
+// buffer first (the count leads the message), then the message is one
+// exact allocation, with room for the newline complete() appends.
+template <typename Visit>
+std::string rows_message(Visit&& visit) {
+  std::string& rows = sim::scratch(2);
+  rows.clear();
+  sim::BufWriter w{rows};
+  std::uint64_t n = 0;
+  visit([&](const Row& r) {
+    w.ch('\n');
+    encode_row(w, r);
+    ++n;
+  });
+  const sim::NumStr count = sim::u64s(n);
+  return sim::build(5 + count.len + rows.size() + 1, [&](std::string& out) {
+    sim::BufWriter{out}.put("ROWS ").put(count).put(rows);
+  });
+}
+
 // Spans never own their names, so commands map to static strings.
 const char* db_span_name(sim::Slice cmd) {
   if (cmd == "BEGIN") return "db.begin";
@@ -176,6 +166,46 @@ const char* db_span_name(sim::Slice cmd) {
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// RowSet
+// ---------------------------------------------------------------------------
+
+void RowSet::Builder::add_row(sim::Slice line) {
+  row_starts_.push_back(static_cast<std::uint32_t>(field_starts_.size()));
+  std::size_t start = 0;
+  for (std::size_t i = 0; i <= line.size(); ++i) {
+    if (i == line.size() || line[i] == '|') {
+      field_starts_.push_back(static_cast<std::uint32_t>(bytes_.size()));
+      unesc_append(bytes_, sim::Slice{line.data() + start, i - start});
+      bytes_.push_back('\0');
+      start = i + 1;
+    }
+  }
+  MCS_ASSERT(bytes_.size() < UINT32_MAX,
+             "RowSet offsets are 32-bit; one response must stay under 4 GiB");
+}
+
+RowSet RowSet::Builder::finish() {
+  RowSet out;
+  out.rows_ = row_starts_.size();
+  if (out.rows_ > 0) {
+    const std::size_t nfields = field_starts_.size();
+    out.bytes_ = bytes_;
+    out.index_.resize(out.rows_ + 1 + nfields + 1);
+    auto it = std::copy(row_starts_.begin(), row_starts_.end(),
+                        out.index_.begin());
+    *it++ = static_cast<std::uint32_t>(nfields);
+    it = std::copy(field_starts_.begin(), field_starts_.end(), it);
+    *it++ = static_cast<std::uint32_t>(bytes_.size());
+    MCS_INVARIANT(it == out.index_.end(),
+                  "the index holds exactly the row and field tables");
+  }
+  bytes_.clear();
+  row_starts_.clear();
+  field_starts_.clear();
+  return out;
+}
 
 // ---------------------------------------------------------------------------
 // DbServer
@@ -290,32 +320,6 @@ void DbServer::respond_commit(const std::shared_ptr<Connection>& conn,
                          (log_busy_until_ - stack_.sim().now()).to_micros());
       return;
   }
-}
-
-void DbServer::respond_rows(const std::shared_ptr<Connection>& conn,
-                            const Slot& slot, const std::vector<Row>& rows) {
-  auto msg = sim::build(16 + 16 * rows.size(), [&](std::string& out) {
-    sim::BufWriter w{out};
-    w.put("ROWS ").u64(rows.size());
-    for (const auto& r : rows) {
-      w.ch('\n');
-      encode_row(w, r);
-    }
-  });
-  respond(conn, slot, std::move(msg));
-}
-
-void DbServer::respond_row(const std::shared_ptr<Connection>& conn,
-                           const Slot& slot, const Row* r) {
-  auto msg = sim::build(32, [&](std::string& out) {
-    sim::BufWriter w{out};
-    w.put("ROWS ").u64(r != nullptr ? 1 : 0);
-    if (r != nullptr) {
-      w.ch('\n');
-      encode_row(w, *r);
-    }
-  });
-  respond(conn, slot, std::move(msg));
 }
 
 void DbServer::on_line(const std::shared_ptr<Connection>& conn,
@@ -455,7 +459,9 @@ void DbServer::on_line(const std::shared_ptr<Connection>& conn,
     }
     const Value pk =
         parse_field(f[2], t->columns()[t->primary_key_col()].type);
-    respond_row(conn, slot, t->find(pk));
+    respond(conn, slot, rows_message([&](auto&& emit) {
+      if (const Row* r = t->find(pk); r != nullptr) emit(*r);
+    }));
     return;
   }
   if (cmd == "FINDBY" && nf == 4) {
@@ -470,7 +476,9 @@ void DbServer::on_line(const std::shared_ptr<Connection>& conn,
       return;
     }
     const Value v = parse_field(f[3], t->columns()[col].type);
-    respond_rows(conn, slot, t->find_by(col, v));
+    respond(conn, slot, rows_message([&](auto&& emit) {
+      t->for_each_match(col, v, emit);
+    }));
     return;
   }
   if (cmd == "SCAN" && nf == 2) {
@@ -479,7 +487,8 @@ void DbServer::on_line(const std::shared_ptr<Connection>& conn,
       respond(conn, slot, "ERR no-table");
       return;
     }
-    respond_rows(conn, slot, t->all());
+    respond(conn, slot,
+            rows_message([&](auto&& emit) { t->for_each(emit); }));
     return;
   }
   respond(conn, slot, "ERR bad-command");
@@ -513,23 +522,44 @@ void DbClient::send_command(std::string&& line, Callback cb) {
   socket_->send(line);
 }
 
-void DbClient::on_data(const std::string& bytes) {
-  buffer_ += bytes;
-  std::size_t nl;
-  while ((nl = buffer_.find('\n')) != std::string::npos) {
-    std::string line = buffer_.substr(0, nl);
-    buffer_.erase(0, nl + 1);
-    on_line(line);
+void DbClient::on_data(sim::Slice bytes) {
+  // Same framing as DbServer's: lines are views of the segment itself, and
+  // only a partial tail is carried to the next segment.
+  sim::Slice data;
+  if (buffer_.empty()) {
+    data = bytes;
+  } else {
+    buffer_ += bytes;
+    data = buffer_;
   }
+  std::size_t start = 0;
+  std::size_t nl;
+  while ((nl = data.find('\n', start)) != sim::Slice::npos) {
+    on_line(sim::Slice{data.data() + start, nl - start});
+    start = nl + 1;
+  }
+  if (data.data() == buffer_.data()) {
+    buffer_.erase(0, start);
+  } else if (start < data.size()) {
+    buffer_.assign(data.data() + start, data.size() - start);
+  }
+  MCS_INVARIANT(buffer_.find('\n') == std::string::npos,
+                "the client carries at most one partial line");
 }
 
-void DbClient::on_line(const std::string& line) {
+void DbClient::deliver(Result&& r) {
+  if (pending_.empty()) return;  // stray response
+  auto cb = std::move(pending_.front());
+  pending_.pop_front();
+  cb(std::move(r));
+}
+
+void DbClient::on_line(sim::Slice line) {
   if (rows_expected_ > 0) {
-    partial_.rows.push_back(split_fields(line));
-    if (--rows_expected_ == 0 && !pending_.empty()) {
-      auto cb = std::move(pending_.front());
-      pending_.pop_front();
-      cb(std::move(partial_));
+    rows_in_.add_row(line);
+    if (--rows_expected_ == 0) {
+      partial_.rows = rows_in_.finish();
+      deliver(std::move(partial_));
       partial_ = Result{};
     }
     return;
@@ -537,25 +567,24 @@ void DbClient::on_line(const std::string& line) {
   if (pending_.empty()) return;  // stray line
 
   Result r;
-  if (sim::starts_with(line, "OK")) {
+  if (line.starts_with("OK")) {
     r.ok = true;
     if (line.size() > 3) {
-      r.txn = std::strtoull(line.c_str() + 3, nullptr, 10);
+      r.txn = parse_u64(sim::Slice{line.data() + 3, line.size() - 3});
     }
-  } else if (sim::starts_with(line, "ROWS ")) {
+  } else if (line.starts_with("ROWS ")) {
     r.ok = true;
-    const int n = std::atoi(line.c_str() + 5);
+    const std::uint64_t n =
+        parse_u64(sim::Slice{line.data() + 5, line.size() - 5});
     if (n > 0) {
       partial_ = std::move(r);
       rows_expected_ = n;
       return;  // wait for the row lines
     }
   } else {
-    r.error = line;
+    r.error.assign(line.data(), line.size());
   }
-  auto cb = std::move(pending_.front());
-  pending_.pop_front();
-  cb(std::move(r));
+  deliver(std::move(r));
 }
 
 void DbClient::begin(Callback cb) { send_command("BEGIN", std::move(cb)); }

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/arena.h"
+#include "sim/contract.h"
 #include "sim/stats.h"
 #include "transport/tcp.h"
 
@@ -21,8 +24,68 @@ namespace mcs::host::db {
 // spaces, pipes and newlines.
 std::string esc(const std::string& s);
 std::string unesc(const std::string& s);
-std::string join_fields(const std::vector<std::string>& fields);  // '|'
-std::vector<std::string> split_fields(const std::string& s);
+
+// The rows of one query response (SCAN/FINDBY/GET), decoded flat: every
+// unescaped field lives in one owned byte buffer, each followed by a NUL so
+// strtod/strtoll/atoi on `field.data()` stop exactly at the field's end,
+// and one offsets vector locates rows and fields. A set of any size owns at
+// most two heap blocks; fields are views into it.
+class RowSet {
+ public:
+  // Decodes wire row lines into reused buffers and hands each finished
+  // response over as an exactly sized RowSet (DbClient keeps one, warm).
+  class Builder {
+   public:
+    // One row line: "<f1>|<f2>|..." with each field percent-escaped.
+    void add_row(sim::Slice line);
+    // Move the rows added so far into a RowSet (two allocations at most,
+    // none for zero rows) and start over; the builder keeps its capacity.
+    RowSet finish();
+
+   private:
+    std::string bytes_;
+    std::vector<std::uint32_t> row_starts_;    // first field number per row
+    std::vector<std::uint32_t> field_starts_;  // byte offset per field
+  };
+
+  // One decoded row: views into the owning RowSet, valid while it lives.
+  class RowRef {
+   public:
+    std::size_t size() const {
+      return set_->index_[row_ + 1] - set_->index_[row_];
+    }
+    std::string_view operator[](std::size_t j) const {
+      MCS_ASSERT(j < size(), "RowSet field index out of range");
+      return set_->field(set_->index_[row_] + j);
+    }
+
+   private:
+    friend class RowSet;
+    RowRef(const RowSet* set, std::size_t row) : set_{set}, row_{row} {}
+    const RowSet* set_ = nullptr;
+    std::size_t row_ = 0;
+  };
+
+  std::size_t size() const { return rows_; }
+  bool empty() const { return rows_ == 0; }
+  RowRef operator[](std::size_t i) const {
+    MCS_ASSERT(i < rows_, "RowSet row index out of range");
+    return RowRef{this, i};
+  }
+
+ private:
+  // index_ = [row start field numbers..., field count,
+  //           field byte offsets..., bytes_.size()]
+  std::string_view field(std::size_t g) const {
+    const std::uint32_t begin = index_[rows_ + 1 + g];
+    const std::uint32_t next = index_[rows_ + 2 + g];
+    return std::string_view{bytes_.data() + begin, next - begin - 1};
+  }
+
+  std::string bytes_;
+  std::vector<std::uint32_t> index_;
+  std::size_t rows_ = 0;
+};
 
 // Durability policy for commits (ablation bench: WAL sync cost).
 enum class SyncPolicy {
@@ -92,12 +155,6 @@ class DbServer {
                std::string&& msg);
   void respond_commit(const std::shared_ptr<Connection>& conn,
                       const Slot& slot, std::string&& msg);
-  void respond_rows(const std::shared_ptr<Connection>& conn, const Slot& slot,
-                    const std::vector<Row>& rows);
-  // GET answers with zero or one row; serializing it directly skips the
-  // single-element std::vector<Row> the generic path would materialize.
-  void respond_row(const std::shared_ptr<Connection>& conn, const Slot& slot,
-                   const Row* r);
 
   transport::TcpStack& stack_;
   Database& db_;
@@ -126,7 +183,7 @@ class DbClient {
     bool ok = false;
     std::string error;
     std::uint64_t txn = 0;  // for begin()
-    std::vector<std::vector<std::string>> rows;
+    RowSet rows;
   };
   using Callback = std::function<void(Result)>;
 
@@ -152,10 +209,15 @@ class DbClient {
   sim::StatsRegistry& stats() { return stats_; }
   const sim::StatsRegistry& stats() const { return stats_; }
 
+  // The socket's data handler: frames complete response lines as views of
+  // the segment and carries only a partial tail. Public so tests can replay
+  // a response under any segmentation.
+  void on_data(sim::Slice bytes);
+
  private:
   void send_command(std::string&& line, Callback cb);
-  void on_data(const std::string& bytes);
-  void on_line(const std::string& line);
+  void on_line(sim::Slice line);
+  void deliver(Result&& r);
   void fail_all(const std::string& why);
 
   transport::TcpStack& stack_;
@@ -164,8 +226,9 @@ class DbClient {
   std::string buffer_;
   std::deque<Callback> pending_;
   // Multi-line response assembly.
-  int rows_expected_ = 0;
+  std::uint64_t rows_expected_ = 0;
   Result partial_;
+  RowSet::Builder rows_in_;
   sim::StatsRegistry stats_;
 };
 

@@ -1,12 +1,12 @@
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "host/db/value.h"
+#include "sim/contract.h"
 
 namespace mcs::host::db {
 
@@ -30,12 +30,34 @@ class Table {
   bool erase(const Value& pk);
 
   // --- Queries ---------------------------------------------------------------
+  // Rows are visited in place: `fn(const Row&)` sees live table storage, so
+  // no Row is copied. A visitor must not mutate the table.
   const Row* find(const Value& pk) const;
-  std::vector<Row> scan(
-      const std::function<bool(const Row&)>& predicate) const;
-  std::vector<Row> all() const { return scan([](const Row&) { return true; }); }
-  // Equality lookup; uses a secondary index when one exists on `col`.
-  std::vector<Row> find_by(std::size_t col, const Value& v) const;
+  // Every live row, in slot order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Slot& s : slots_) {
+      if (s.live) fn(s.row);
+    }
+  }
+  // Rows whose `col` equals `v`: the primary key or a secondary index when
+  // one covers `col` (index order), otherwise a slot-order scan.
+  template <typename Fn>
+  void for_each_match(std::size_t col, const Value& v, Fn&& fn) const {
+    MCS_ASSERT(col < columns_.size(), "cannot match a column the table lacks");
+    if (col == pk_col_) {
+      if (const Row* r = find(v); r != nullptr) fn(*r);
+      return;
+    }
+    if (auto idx = indexes_.find(col); idx != indexes_.end()) {
+      auto [lo, hi] = idx->second.equal_range(v);
+      for (auto it = lo; it != hi; ++it) fn(slots_[it->second].row);
+      return;
+    }
+    for_each([&](const Row& r) {
+      if (value_eq(r[col], v)) fn(r);
+    });
+  }
 
   void create_index(std::size_t col);
   bool has_index(std::size_t col) const { return indexes_.contains(col); }

@@ -113,9 +113,8 @@ std::string HttpRequest::header(const std::string& name) const {
   const std::string* v = find_header(headers, name);
   return v == nullptr ? "" : *v;
 }
-void HttpRequest::set_header(const std::string& name,
-                             const std::string& value) {
-  headers[name] = value;
+void HttpRequest::set_header(sim::Slice name, sim::Slice value) {
+  sim::find_or_emplace(headers, name).assign(value.data(), value.size());
 }
 
 void HttpRequest::serialize_to(sim::BufWriter& w) const {
@@ -142,9 +141,8 @@ std::string HttpResponse::header(const std::string& name) const {
   const std::string* v = find_header(headers, name);
   return v == nullptr ? "" : *v;
 }
-void HttpResponse::set_header(const std::string& name,
-                              const std::string& value) {
-  headers[name] = value;
+void HttpResponse::set_header(sim::Slice name, sim::Slice value) {
+  sim::find_or_emplace(headers, name).assign(value.data(), value.size());
 }
 
 void HttpResponse::serialize_to(sim::BufWriter& w) const {

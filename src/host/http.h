@@ -22,7 +22,7 @@ struct HttpRequest {
   std::string body;
 
   std::string header(const std::string& name) const;
-  void set_header(const std::string& name, const std::string& value);
+  void set_header(sim::Slice name, sim::Slice value);
   // Full wire form, with Content-Length synthesized from the body.
   std::string serialize() const;
   // Same bytes appended to a caller-owned (reused) buffer: the zero-copy
@@ -40,7 +40,7 @@ struct HttpResponse {
   std::string body;
 
   std::string header(const std::string& name) const;
-  void set_header(const std::string& name, const std::string& value);
+  void set_header(sim::Slice name, sim::Slice value);
   std::string serialize() const;
   void serialize_to(sim::BufWriter& w) const;
   std::size_t wire_size() const;

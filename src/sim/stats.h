@@ -4,10 +4,12 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/thread_annotations.h"
 #include "sim/time.h"
+#include "sim/util.h"
 
 namespace mcs::sim {
 
@@ -82,11 +84,20 @@ class Counter {
 // Named stats for one component; registries compose into system reports.
 class StatsRegistry {
  public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  Histogram& histogram(const std::string& name) { return histograms_[name]; }
+  // Lookups are heterogeneous (std::less<>): only the first use of a name
+  // allocates its key, so a literal name on a per-packet path costs no
+  // temporary std::string however long it is.
+  Counter& counter(std::string_view name) {
+    return find_or_emplace(counters_, name);
+  }
+  Histogram& histogram(std::string_view name) {
+    return find_or_emplace(histograms_, name);
+  }
 
-  const std::map<std::string, Counter>& counters() const { return counters_; }
-  const std::map<std::string, Histogram>& histograms() const {
+  const std::map<std::string, Counter, std::less<>>& counters() const {
+    return counters_;
+  }
+  const std::map<std::string, Histogram, std::less<>>& histograms() const {
     return histograms_;
   }
 
@@ -105,8 +116,8 @@ class StatsRegistry {
   std::string to_json_string() const;
 
  private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Histogram> histograms_;
+  std::map<std::string, Counter, std::less<>> counters_;
+  std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
 // System-wide aggregation helper: named point-in-time copies of component

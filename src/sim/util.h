@@ -26,6 +26,18 @@ std::string to_lower(const std::string& s);
 bool starts_with(const std::string& s, const std::string& prefix);
 bool ends_with(const std::string& s, const std::string& suffix);
 
+// `m[key]` for a map keyed by std::string with a transparent comparator
+// (std::less<>): the key is copied into the map only when it is new, so a
+// lookup by view never builds a temporary string.
+template <typename Map>
+typename Map::mapped_type& find_or_emplace(Map& m, std::string_view key) {
+  auto it = m.lower_bound(key);
+  if (it == m.end() || it->first != key) {
+    it = m.try_emplace(it, std::string{key});
+  }
+  return it->second;
+}
+
 // Non-allocating counterparts used on the protocol hot path (DESIGN.md §12):
 // views into the caller's buffer instead of trimmed/lowered copies.
 

@@ -69,7 +69,7 @@ TEST(McSystemTest, DynamicRouteHitsDatabaseServer) {
                     [respond](host::db::DbClient::Result r) mutable {
           respond(host::HttpResponse::make(
               200, "text/html",
-              "<p>" + (r.ok && !r.rows.empty() ? r.rows[0][1]
+              "<p>" + (r.ok && !r.rows.empty() ? std::string{r.rows[0][1]}
                                                : std::string{"?"}) +
                   "</p>"));
         });
@@ -217,19 +217,27 @@ TEST(PersonalizationTest, CatalogRankingFollowsInterests) {
   alice.spending_limit = 100.0;
   eng.upsert_profile(alice);
 
-  std::vector<host::db::Row> rows = {
-      {std::int64_t{1}, std::string{"TV"}, std::string{"electronics"}, 80.0},
-      {std::int64_t{2}, std::string{"Album"}, std::string{"music"}, 15.0},
-      {std::int64_t{3}, std::string{"Novel"}, std::string{"books"}, 10.0},
-      {std::int64_t{4}, std::string{"Yacht"}, std::string{"boats"}, 5000.0},
+  // One item per catalog row; `row` indexes `names`.
+  const std::vector<std::string> names = {"TV", "Album", "Novel", "Yacht"};
+  const std::vector<CatalogItem> rows = {
+      {"electronics", 80.0, 0},
+      {"music", 15.0, 1},
+      {"books", 10.0, 2},
+      {"boats", 5000.0, 3},
   };
-  const auto ranked = eng.personalize_catalog("alice", rows, 2, 3);
+  auto ranked = rows;
+  eng.personalize_catalog("alice", ranked);
   ASSERT_EQ(ranked.size(), 3u);  // yacht filtered by spending limit
-  EXPECT_EQ(std::get<std::string>(ranked[0][1]), "Album");
-  EXPECT_EQ(std::get<std::string>(ranked[1][1]), "Novel");
-  EXPECT_EQ(std::get<std::string>(ranked[2][1]), "TV");
+  EXPECT_EQ(names[ranked[0].row], "Album");
+  EXPECT_EQ(names[ranked[1].row], "Novel");
+  EXPECT_EQ(names[ranked[2].row], "TV");
   // Unknown user: untouched.
-  EXPECT_EQ(eng.personalize_catalog("bob", rows, 2, 3).size(), rows.size());
+  auto unknown = rows;
+  eng.personalize_catalog("bob", unknown);
+  ASSERT_EQ(unknown.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(unknown[i].row, rows[i].row);
+  }
 }
 
 TEST(PersonalizationTest, RecordInterestPromotesCategory) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+#include <vector>
+
 #include "net/network.h"
+#include "sim/random.h"
 #include "sim/util.h"
 
 namespace mcs::host::db {
@@ -12,8 +17,14 @@ TEST(DbProtocolTest, EscapingRoundTrips) {
   const std::string nasty = "a b|c%d\ne";
   EXPECT_EQ(unesc(esc(nasty)), nasty);
   EXPECT_EQ(esc("plain"), "plain");
-  const std::vector<std::string> fields{"x y", "1|2", "z"};
-  EXPECT_EQ(split_fields(join_fields(fields)), fields);
+  RowSet::Builder rows_in;
+  rows_in.add_row(esc("x y") + "|" + esc("1|2") + "|" + esc("z"));
+  const RowSet rows = rows_in.finish();
+  ASSERT_EQ(rows.size(), 1u);
+  ASSERT_EQ(rows[0].size(), 3u);
+  EXPECT_EQ(rows[0][0], "x y");
+  EXPECT_EQ(rows[0][1], "1|2");
+  EXPECT_EQ(rows[0][2], "z");
 }
 
 struct DbNetFixture : public ::testing::Test {
@@ -167,6 +178,178 @@ TEST_F(DbNetFixture, PerCommitFsyncSlowerThanNone) {
   EXPECT_GT(with_fsync, without * 2.0);
   EXPECT_LT(grouped, with_fsync);
   EXPECT_GT(server->stats().counter("group_commit_batches").value(), 0u);
+}
+
+// --- Wire bytes -------------------------------------------------------------
+// Query responses are encoded straight from table storage; these are the
+// exact bytes a raw socket receives, escapes included.
+
+TEST_F(DbNetFixture, QueryResponsesMatchGoldenWireBytes) {
+  auto row = [](std::int64_t id, std::string name, double price) {
+    return Row{id, std::move(name), price};
+  };
+  ASSERT_TRUE(db.insert("products", row(1, "a b", 1.5)));
+  ASSERT_TRUE(db.insert("products", row(2, "x|y", 2.25)));
+  ASSERT_TRUE(db.insert("products", row(3, "50%", 10.0)));
+  ASSERT_TRUE(db.insert("products", row(4, "line\nbreak", 0.125)));
+  ASSERT_TRUE(db.insert("products", row(5, "", 1e6)));
+  ASSERT_TRUE(db.insert("products", row(6, "dup", 2.25)));
+  db.table("products")->create_index(2);
+  start();
+
+  std::string got;
+  auto raw = app_tcp->connect(net::Endpoint{db_node->addr(), 5432});
+  raw->on_data = [&](const std::string& bytes) { got += bytes; };
+  raw->send(
+      "SCAN products\n"
+      "FINDBY products 1 x%7Cy\n"   // unindexed column: slot-order scan
+      "FINDBY products 1 \n"        // the empty field
+      "FINDBY products 2 2.25\n"    // secondary index, insertion order
+      "FINDBY products 0 3\n"       // primary key
+      "GET products 4\n"
+      "GET products 99\n");
+  sim.run();
+  EXPECT_EQ(got,
+            "ROWS 6\n"
+            "1|a%20b|1.5\n"
+            "2|x%7Cy|2.25\n"
+            "3|50%25|10\n"
+            "4|line%0Abreak|0.125\n"
+            "5||1e+06\n"
+            "6|dup|2.25\n"
+            "ROWS 1\n2|x%7Cy|2.25\n"
+            "ROWS 1\n5||1e+06\n"
+            "ROWS 2\n2|x%7Cy|2.25\n6|dup|2.25\n"
+            "ROWS 1\n3|50%25|10\n"
+            "ROWS 1\n4|line%0Abreak|0.125\n"
+            "ROWS 0\n");
+}
+
+// --- Decode equivalence ----------------------------------------------------
+
+// Test-local reference for the client decode: split the row line on '|',
+// then unescape each field ("%XY" -> the byte strtol(XY, 16) gives).
+std::vector<std::string> reference_fields(const std::string& line) {
+  std::vector<std::string> split(1);
+  for (char c : line) {
+    if (c == '|') {
+      split.emplace_back();
+    } else {
+      split.back() += c;
+    }
+  }
+  std::vector<std::string> out;
+  for (const std::string& f : split) {
+    std::string u;
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      if (f[i] == '%' && i + 2 < f.size()) {
+        u += static_cast<char>(std::strtol(f.substr(i + 1, 2).c_str(),
+                                           nullptr, 16));
+        i += 2;
+      } else {
+        u += f[i];
+      }
+    }
+    out.push_back(u);
+  }
+  return out;
+}
+
+using Rows = std::vector<std::vector<std::string>>;
+
+void expect_rows(const RowSet& got, const Rows& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size()) << what << " row " << i;
+    for (std::size_t j = 0; j < want[i].size(); ++j) {
+      EXPECT_EQ(got[i][j], want[i][j])
+          << what << " row " << i << " field " << j;
+      // NUL-terminated: C parsers on data() stop at the field's end.
+      EXPECT_EQ(got[i][j].data()[got[i][j].size()], '\0');
+    }
+  }
+}
+
+// A random query response: raw rows (fields over an alphabet heavy in the
+// escaped bytes, empty fields included) and their wire form.
+struct WireResponse {
+  Rows rows;
+  std::vector<std::string> lines;  // one escaped wire line per row
+  std::string wire;
+};
+
+WireResponse random_response(sim::Rng& rng) {
+  static const char kAlphabet[] = {'a', 'Z', ' ', '|', '%', '\n', '0', '7',
+                                   '\t', '\0'};
+  WireResponse r;
+  const auto nrows = rng.uniform_int(0, 6);
+  r.wire = sim::strf("ROWS %lld\n", static_cast<long long>(nrows));
+  for (std::int64_t i = 0; i < nrows; ++i) {
+    std::vector<std::string> fields;
+    std::string line;
+    const auto nfields = rng.uniform_int(1, 5);
+    for (std::int64_t j = 0; j < nfields; ++j) {
+      std::string f;
+      const auto len = rng.uniform_int(0, 6);
+      for (std::int64_t k = 0; k < len; ++k) {
+        f += kAlphabet[rng.uniform_int(
+            0, static_cast<std::int64_t>(sizeof(kAlphabet)) - 1)];
+      }
+      if (j > 0) line += '|';
+      line += esc(f);
+      fields.push_back(std::move(f));
+    }
+    EXPECT_EQ(reference_fields(line), fields);
+    r.wire += line + "\n";
+    r.lines.push_back(std::move(line));
+    r.rows.push_back(std::move(fields));
+  }
+  return r;
+}
+
+TEST_F(DbNetFixture, RowSetDecodeMatchesReferenceUnderAnySegmentation) {
+  // No server runs and the simulator never steps: the test feeds response
+  // bytes to the client's data handler itself, cut wherever it likes.
+  DbClient reader{*app_tcp, net::Endpoint{db_node->addr(), 5432}};
+  std::vector<DbClient::Result> results;
+  auto collect = [&](DbClient::Result r) { results.push_back(std::move(r)); };
+
+  sim::Rng rng{2003};
+  for (int trial = 0; trial < 40; ++trial) {
+    const WireResponse a = random_response(rng);
+    const WireResponse b = random_response(rng);
+
+    RowSet::Builder rows_in;
+    for (const std::string& line : a.lines) rows_in.add_row(line);
+    expect_rows(rows_in.finish(), a.rows, "builder");
+
+    results.clear();
+    reader.scan("products", collect);
+    reader.on_data(a.wire);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results[0].ok);
+    expect_rows(results[0].rows, a.rows, "whole");
+
+    for (std::size_t cut = 0; cut <= a.wire.size(); ++cut) {
+      results.clear();
+      reader.scan("products", collect);
+      reader.on_data(sim::Slice{a.wire}.substr(0, cut));
+      reader.on_data(sim::Slice{a.wire}.substr(cut));
+      ASSERT_EQ(results.size(), 1u) << "cut " << cut;
+      expect_rows(results[0].rows, a.rows, "split");
+    }
+
+    results.clear();
+    reader.scan("products", collect);
+    reader.begin(collect);
+    reader.scan("products", collect);
+    reader.on_data(a.wire + "OK 7\n" + b.wire);
+    ASSERT_EQ(results.size(), 3u);
+    expect_rows(results[0].rows, a.rows, "first of two");
+    EXPECT_EQ(results[1].txn, 7u);
+    EXPECT_TRUE(results[1].rows.empty());
+    expect_rows(results[2].rows, b.rows, "second of two");
+  }
 }
 
 }  // namespace

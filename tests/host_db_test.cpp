@@ -104,9 +104,11 @@ TEST(TableTest, ScanWithPredicate) {
     t->insert({std::int64_t{i}, sim::strf("item%d", i), i * 10.0,
                std::int64_t{i % 3}});
   }
-  const auto cheap = t->scan(
-      [](const Row& r) { return std::get<double>(r[2]) < 45.0; });
-  EXPECT_EQ(cheap.size(), 4u);  // 10,20,30,40
+  std::size_t cheap = 0;
+  t->for_each([&](const Row& r) {
+    if (std::get<double>(r[2]) < 45.0) ++cheap;
+  });
+  EXPECT_EQ(cheap, 4u);  // 10,20,30,40
 }
 
 TEST(TableTest, SecondaryIndexFindBy) {
@@ -119,16 +121,45 @@ TEST(TableTest, SecondaryIndexFindBy) {
   }
   t->create_index(1);
   EXPECT_TRUE(t->has_index(1));
-  const auto rows = t->find_by(1, Value{std::string{"cat3"}});
-  EXPECT_EQ(rows.size(), 20u);
-  for (const auto& r : rows) {
-    EXPECT_EQ(std::get<std::string>(r[1]), "cat3");
-  }
+  auto count_cat3 = [&] {
+    std::size_t n = 0;
+    t->for_each_match(1, Value{std::string{"cat3"}}, [&](const Row& r) {
+      EXPECT_EQ(std::get<std::string>(r[1]), "cat3");
+      ++n;
+    });
+    return n;
+  };
+  EXPECT_EQ(count_cat3(), 20u);
   // Index stays correct across mutation.
   t->erase(Value{std::int64_t{3}});
-  EXPECT_EQ(t->find_by(1, Value{std::string{"cat3"}}).size(), 19u);
+  EXPECT_EQ(count_cat3(), 19u);
   t->update(Value{std::int64_t{9}}, 1, Value{std::string{"cat3"}});
-  EXPECT_EQ(t->find_by(1, Value{std::string{"cat3"}}).size(), 20u);
+  EXPECT_EQ(count_cat3(), 20u);
+}
+
+TEST(TableTest, ForEachMatchOnPrimaryKeyAndUnindexedColumn) {
+  auto db_ptr = make_shop();
+  Table* t = db_ptr->table("products");
+  for (int i = 1; i <= 9; ++i) {
+    t->insert({std::int64_t{i}, sim::strf("cat%d", i % 3), 1.0 * i,
+               std::int64_t{i}});
+  }
+  std::vector<std::int64_t> ids;
+  auto collect = [&](const Row& r) {
+    ids.push_back(std::get<std::int64_t>(r[0]));
+  };
+  t->for_each_match(0, Value{std::int64_t{4}}, collect);
+  EXPECT_EQ(ids, (std::vector<std::int64_t>{4}));
+  ids.clear();
+  t->for_each_match(0, Value{std::int64_t{42}}, collect);
+  EXPECT_TRUE(ids.empty());
+  // No index on column 1: a slot-order scan.
+  ASSERT_FALSE(t->has_index(1));
+  t->for_each_match(1, Value{std::string{"cat1"}}, collect);
+  EXPECT_EQ(ids, (std::vector<std::int64_t>{1, 4, 7}));
+  ids.clear();
+  t->for_each(collect);
+  EXPECT_EQ(ids.size(), 9u);
 }
 
 TEST(TableTest, SlotReuseAfterErase) {

@@ -158,6 +158,20 @@ TEST_F(WebFixture, QueryParamHelpers) {
   EXPECT_EQ(query_param("/buy?item=5&qty=2", "qty"), "2");
   EXPECT_EQ(query_param("/buy?item=5", "missing"), "");
   EXPECT_EQ(query_param("/buy", "item"), "");
+  EXPECT_EQ(query_param("/buy=5", "buy"), "");             // no '?'
+  EXPECT_EQ(query_param("/buy?item=&qty=2", "item"), "");  // empty value
+  EXPECT_EQ(query_param("/buy?item=&qty=2", "qty"), "2");
+  EXPECT_EQ(query_param("/buy?flag&item=5", "flag"), "");  // pair without '='
+  EXPECT_EQ(query_param("/buy?flag&item=5", "item"), "5");
+  // A key that prefixes another key matches only itself, in either order.
+  EXPECT_EQ(query_param("/p?username=bob&user=al", "user"), "al");
+  EXPECT_EQ(query_param("/p?username=bob&user=al", "username"), "bob");
+  EXPECT_EQ(query_param("/p?user=al&username=bob", "username"), "bob");
+  EXPECT_EQ(query_param("/p?user=al&username=bob", "user"), "al");
+  EXPECT_EQ(query_param("/p?a=1&a=2", "a"), "1");  // first match wins
+  EXPECT_EQ(query_param("/p?a=1&", "a"), "1");     // trailing '&'
+  EXPECT_EQ(query_param("/p?a=1&&b=2", "b"), "2");
+  EXPECT_EQ(query_param("/p?a=x=y", "a"), "x=y");  // value keeps later '='
   EXPECT_EQ(path_without_query("/buy?item=5"), "/buy");
   EXPECT_EQ(path_without_query("/buy"), "/buy");
 }

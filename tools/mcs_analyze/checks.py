@@ -637,6 +637,7 @@ HOTPATH_ENTRIES = (
     ("gateway", None, "translate_html"),
     ("host", "HttpServer", "request"),
     ("host", "DbServer", "on_line"),
+    ("host", "DbClient", "on_data"),
     ("export", "StatsRegistry", "to_json"),
 )
 
@@ -681,6 +682,81 @@ def _hotpath_reach(project: Project):
     return project._hotpath_reach
 
 
+# libstdc++ keeps strings of up to 15 characters inline (SSO); a longer
+# literal bound to a `const std::string&` builds a heap temporary per call.
+SSO_CAPACITY = 15
+
+_CONST_STRING_REF = frozenset(
+    "conststd::string& conststring& std::stringconst& stringconst&".split())
+
+
+def _literal_length(text):
+    """Decoded length of one string-literal token (prefix, quotes and
+    escapes accounted for; an escape sequence counts as one character)."""
+    q = text.find('"')
+    if q < 0:
+        return 0
+    if text[:q].endswith("R"):  # raw: R"delim( ... )delim"
+        open_paren = text.find("(", q)
+        close = text.rfind(")")
+        return max(close - open_paren - 1, 0)
+    body = text[q + 1:-1]
+    n = 0
+    i = 0
+    while i < len(body):
+        if body[i] == "\\" and i + 1 < len(body):
+            i += 2
+            if body[i - 1] == "x":
+                while i < len(body) and body[i] in "0123456789abcdefABCDEF":
+                    i += 1
+            elif body[i - 1] in "01234567":
+                k = 0
+                while i < len(body) and k < 2 and body[i] in "01234567":
+                    i += 1
+                    k += 1
+        else:
+            i += 1
+        n += 1
+    return n
+
+
+def _call_args(toks, open_i):
+    """Top-level argument token lists of the call whose '(' is toks[open_i]."""
+    args = [[]]
+    depth = 0
+    for j in range(open_i, len(toks)):
+        t = toks[j]
+        if t.kind == "punct" and t.text in ("(", "[", "{"):
+            depth += 1
+            if depth == 1:
+                continue
+        elif t.kind == "punct" and t.text in (")", "]", "}"):
+            depth -= 1
+            if depth == 0:
+                break
+        elif t.kind == "punct" and t.text == "," and depth == 1:
+            args.append([])
+            continue
+        args[-1].append(t)
+    return args
+
+
+def _long_literal_to_string_ref(callees, toks, i):
+    """True when some argument of the call at toks[i] is a string literal
+    longer than the SSO capacity and a resolved callee takes that position
+    as `const std::string&`: the call builds a heap temporary each time."""
+    for k, arg in enumerate(_call_args(toks, i + 1)):
+        if not arg or any(t.kind != "str" for t in arg):
+            continue
+        if sum(_literal_length(t.text) for t in arg) <= SSO_CAPACITY:
+            continue
+        for callee in callees:
+            if k < len(callee.params) and \
+                    callee.params[k][0].replace(" ", "") in _CONST_STRING_REF:
+                return True
+    return False
+
+
 def check_hotpath_alloc(project: Project, out):
     """Allocation, std::string churn, and container growth reachable from a
     per-packet/per-request entry point. One finding per (function, signal
@@ -718,6 +794,12 @@ def check_hotpath_alloc(project: Project, out):
                 continue
             prev = _prev_tok(toks, i)
             nxt = _next_tok(toks, i)
+            if _is_call(toks, i) and t.text not in ALLOC_CALLS:
+                callees = cg._resolve(fm, fn, toks, i, allow_fallback=False)
+                if callees and _long_literal_to_string_ref(callees, toks, i):
+                    sites.setdefault("std::string temporary from a long "
+                                     "literal (const std::string& parameter)",
+                                     []).append(t.line)
             if t.text == "new" \
                     and not (prev is not None and prev.text == "operator"):
                 sites.setdefault("operator new", []).append(t.line)

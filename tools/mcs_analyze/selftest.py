@@ -31,6 +31,7 @@ EXPECT_BAD = {
     "src/net/missing_contract.cpp": {"missing-contract": 1},
     "src/obs/unexempt_clock.cpp": {"wallclock": 1},
     "hotpath_alloc.cpp": {"hotpath-alloc": 5},
+    "hotpath_literal.cpp": {"hotpath-alloc": 1},
     "shard_escape.cpp": {"shard-escape": 3},
     "lock_order.cpp": {"lock-order": 4},
     "arena_escape_field.cpp": {"arena-escape": 2},
