@@ -142,7 +142,7 @@ void BM_EmbeddedSync(benchmark::State& state) {
     std::function<void(int)> issue = [&](int left) {
       if (left == 0) return;
       host::HttpRequest req;
-      req.path = sim::strf("/order?n=%d&payload=customer-item-qty2", left);
+      req.set_path(sim::strf("/order?n=%d&payload=customer-item-qty2", left));
       online_bytes += req.serialize().size();
       client.request({hq2->addr(), 80}, req,
                      [&, left](std::optional<host::HttpResponse> r) {

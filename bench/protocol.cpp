@@ -130,8 +130,7 @@ const char* kCatalogHtml =
 
 host::HttpRequest make_request() {
   host::HttpRequest req;
-  req.method = "GET";
-  req.path = "/catalog/item?id=42&session=9f3a";
+  req.set_path("/catalog/item?id=42&session=9f3a");
   req.set_header("Host", "shop.example.net");
   req.set_header("User-Agent", "MCS-MicroBrowser/1.0 (WAP 1.2)");
   req.set_header("Accept", "text/vnd.wap.wml, application/vnd.wap.wbxml");
@@ -142,7 +141,6 @@ host::HttpRequest make_request() {
 host::HttpResponse make_response(std::string body) {
   host::HttpResponse resp;
   resp.status = 200;
-  resp.reason = "OK";
   resp.set_header("Content-Type", "text/vnd.wap.wml");
   resp.set_header("Cache-Control", "max-age=30");
   resp.set_header("Server", "mcs-host/1.0");

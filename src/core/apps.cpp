@@ -58,7 +58,7 @@ class CommerceApp final : public Application {
     env.programs->install("GET", "/shop/catalog",
                           [this](const HttpRequest& req,
                                  host::AppServer::Context& ctx, auto respond) {
-      const std::string user = query_param(req.path, "user");
+      const std::string user{query_param(req.path(), "user")};
       ctx.db->scan("products", [this, user, respond](
                                    host::db::DbClient::Result r) {
         if (!r.ok) {
@@ -105,9 +105,9 @@ class CommerceApp final : public Application {
     env.programs->install("GET", "/shop/buy",
                           [this](const HttpRequest& req,
                                  host::AppServer::Context& ctx, auto respond) {
-      const std::string item = query_param(req.path, "item");
-      const std::string user = query_param(req.path, "user");
-      const std::string key = query_param(req.path, "key");
+      const std::string item{query_param(req.path(), "item")};
+      const std::string user{query_param(req.path(), "user")};
+      const std::string key{query_param(req.path(), "key")};
       if (item.empty() || user.empty() || key.empty()) {
         respond(HttpResponse::bad_request("need item/user/key"));
         return;
@@ -211,7 +211,7 @@ class EducationApp final : public Application {
     env.programs->install("GET", "/edu/quiz",
                           [](const HttpRequest& req, host::AppServer::Context&,
                              auto respond) {
-      const std::string answer = query_param(req.path, "answer");
+      const sim::Slice answer = query_param(req.path(), "answer");
       const bool correct = answer == "11";
       respond(HttpResponse::make(
           200, "text/html",
@@ -277,7 +277,7 @@ class ErpApp final : public Application {
     env.programs->install("GET", "/erp/status",
                           [](const HttpRequest& req,
                              host::AppServer::Context& ctx, auto respond) {
-      const std::string id = query_param(req.path, "resource");
+      const std::string id{query_param(req.path(), "resource")};
       ctx.db->get("resources", id,
                   [id, respond](host::db::DbClient::Result r) {
         if (!r.ok || r.rows.empty()) {
@@ -293,8 +293,8 @@ class ErpApp final : public Application {
     env.programs->install("GET", "/erp/allocate",
                           [](const HttpRequest& req,
                              host::AppServer::Context& ctx, auto respond) {
-      const std::string id = query_param(req.path, "resource");
-      const int qty = std::atoi(query_param(req.path, "qty").c_str());
+      const std::string id{query_param(req.path(), "resource")};
+      const auto qty = sim::to_int64(query_param(req.path(), "qty"));
       ctx.db->get("resources", id, [id, qty, ctx, respond](
                                        host::db::DbClient::Result r) mutable {
         if (!r.ok || r.rows.empty()) {
@@ -434,12 +434,12 @@ class HealthCareApp final : public Application {
                           [](const HttpRequest& req,
                              host::AppServer::Context& ctx, auto respond) {
       // Access control: staff token required (authentication requirement).
-      if (query_param(req.path, "token") != "staff-42") {
+      if (query_param(req.path(), "token") != "staff-42") {
         respond(HttpResponse::make(401, "text/html",
                                    html_page("Denied", "<p>ACCESS-DENIED</p>")));
         return;
       }
-      const std::string id = query_param(req.path, "patient");
+      const std::string id{query_param(req.path(), "patient")};
       ctx.db->get("patients", id,
                   [id, respond](host::db::DbClient::Result r) {
         if (!r.ok || r.rows.empty()) {
@@ -505,9 +505,9 @@ class InventoryApp final : public Application {
     env.programs->install("GET", "/track/report",
                           [](const HttpRequest& req,
                              host::AppServer::Context& ctx, auto respond) {
-      const std::string vehicle = query_param(req.path, "vehicle");
-      const std::string x = query_param(req.path, "x");
-      const std::string y = query_param(req.path, "y");
+      const std::string vehicle{query_param(req.path(), "vehicle")};
+      const std::string x{query_param(req.path(), "x")};
+      const std::string y{query_param(req.path(), "y")};
       if (vehicle.empty()) {
         respond(HttpResponse::bad_request("no vehicle"));
         return;
@@ -541,7 +541,7 @@ class InventoryApp final : public Application {
     env.programs->install("GET", "/track/locate",
                           [](const HttpRequest& req,
                              host::AppServer::Context& ctx, auto respond) {
-      const std::string vehicle = query_param(req.path, "vehicle");
+      const std::string vehicle{query_param(req.path(), "vehicle")};
       ctx.db->get("positions", vehicle,
                   [respond](host::db::DbClient::Result r) mutable {
         if (!r.ok || r.rows.empty()) {
@@ -624,8 +624,8 @@ class TrafficApp final : public Application {
                           [](const HttpRequest& req,
                              host::AppServer::Context& ctx, auto respond) {
       // Position quantizes to a zone (the location-based-services bit).
-      const double x = std::atof(query_param(req.path, "x").c_str());
-      const double y = std::atof(query_param(req.path, "y").c_str());
+      const double x = sim::to_double(query_param(req.path(), "x"));
+      const double y = sim::to_double(query_param(req.path(), "y"));
       const int zone = (static_cast<int>(x / 100.0) +
                         static_cast<int>(y / 100.0) * 4) % 8;
       ctx.db->find_by("advisories", 1, strf("%d", zone),
@@ -702,7 +702,7 @@ class TravelApp final : public Application {
     env.programs->install("GET", "/travel/search",
                           [](const HttpRequest& req,
                              host::AppServer::Context& ctx, auto respond) {
-      const std::string route = query_param(req.path, "route");
+      const std::string route{query_param(req.path(), "route")};
       ctx.db->find_by("flights", 1, route,
                       [respond](host::db::DbClient::Result r) mutable {
         if (!r.ok) {
@@ -727,9 +727,9 @@ class TravelApp final : public Application {
     env.programs->install("GET", "/travel/book",
                           [this](const HttpRequest& req,
                                  host::AppServer::Context& ctx, auto respond) {
-      const std::string flight = query_param(req.path, "flight");
-      const std::string user = query_param(req.path, "user");
-      const std::string key = query_param(req.path, "key");
+      const std::string flight{query_param(req.path(), "flight")};
+      const std::string user{query_param(req.path(), "user")};
+      const std::string key{query_param(req.path(), "key")};
       ctx.db->get("flights", flight, [this, flight, user, key, ctx, respond](
                                          host::db::DbClient::Result r) mutable {
         if (!r.ok || r.rows.empty()) {

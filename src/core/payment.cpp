@@ -1,8 +1,8 @@
 #include "core/payment.h"
 
-#include <cstdlib>
 #include <map>
 
+#include "sim/arena.h"
 #include "sim/util.h"
 
 namespace mcs::core {
@@ -44,10 +44,9 @@ double PaymentProcessor::balance(const std::string& account) const {
 }
 
 HttpResponse PaymentProcessor::handle_prepare(const HttpRequest& req) {
-  const std::string txn = query_param(req.path, "txn");
-  const std::string account = query_param(req.path, "account");
-  const double amount = std::strtod(query_param(req.path, "amount").c_str(),
-                                    nullptr);
+  const std::string txn{query_param(req.path(), "txn")};
+  const std::string account{query_param(req.path(), "account")};
+  const double amount = sim::to_double(query_param(req.path(), "amount"));
   if (txn.empty() || account.empty() || amount <= 0.0) {
     return HttpResponse::bad_request("prepare needs txn/account/amount");
   }
@@ -94,7 +93,7 @@ HttpResponse PaymentProcessor::handle_prepare(const HttpRequest& req) {
 }
 
 HttpResponse PaymentProcessor::handle_commit(const HttpRequest& req) {
-  const std::string txn = query_param(req.path, "txn");
+  const std::string txn{query_param(req.path(), "txn")};
   auto it = reservations_.find(txn);
   if (it == reservations_.end()) {
     if (completed_.contains(txn)) {
@@ -114,7 +113,7 @@ HttpResponse PaymentProcessor::handle_commit(const HttpRequest& req) {
 }
 
 HttpResponse PaymentProcessor::handle_abort(const HttpRequest& req) {
-  const std::string txn = query_param(req.path, "txn");
+  const std::string txn{query_param(req.path(), "txn")};
   release(txn);
   completed_.insert(txn);
   stats_.counter("aborts").add();
@@ -174,32 +173,31 @@ void PaymentCoordinator::charge(const std::string& idempotency_key,
     cb(std::move(o));
   };
 
-  HttpRequest prep;
-  prep.method = "POST";
-  prep.path = strf("/bank/prepare?txn=%s&account=%s&amount=%.2f",
-                   idempotency_key.c_str(), account.c_str(), amount);
-  http_.request(bank_, prep,
-                [this, idempotency_key, account, amount, item,
-                 finish](std::optional<host::HttpResponse> resp) mutable {
+  std::string& path = sim::scratch(3);
+  path.clear();
+  sim::BufWriter{path}
+      .put("/bank/prepare?txn=")
+      .put(idempotency_key)
+      .put("&account=")
+      .put(account)
+      .f("&amount=%.2f", amount);
+  post(path, [this, idempotency_key, account, amount, item,
+              finish](std::optional<host::HttpResponse> resp) mutable {
     if (!resp.has_value() || resp->status != 200 ||
         !sim::starts_with(resp->body, "VOTE-YES")) {
       Outcome o;
       o.failure = resp.has_value() ? "prepare-refused: " + resp->body
                                    : "bank-unreachable";
       // Best-effort abort so the reservation (if any) is released early.
-      HttpRequest ab;
-      ab.method = "POST";
-      ab.path = "/bank/abort?txn=" + idempotency_key;
-      http_.request(bank_, ab, [](auto) {});
+      post(sim::cat("/bank/abort?txn=", idempotency_key), [](auto) {});
       finish(std::move(o));
       return;
     }
-    HttpRequest commit;
-    commit.method = "POST";
-    commit.path = "/bank/commit?txn=" + idempotency_key;
-    http_.request(bank_, commit,
-                  [this, idempotency_key, account, amount, item,
-                   finish](std::optional<host::HttpResponse> resp2) mutable {
+    std::string& commit = sim::scratch(3);
+    commit.clear();
+    sim::BufWriter{commit}.put("/bank/commit?txn=").put(idempotency_key);
+    post(commit, [this, idempotency_key, account, amount, item,
+                  finish](std::optional<host::HttpResponse> resp2) mutable {
       Outcome o;
       if (!resp2.has_value() || resp2->status != 200) {
         o.failure = "commit-failed";
@@ -213,6 +211,14 @@ void PaymentCoordinator::charge(const std::string& idempotency_key,
       finish(std::move(o));
     });
   });
+}
+
+void PaymentCoordinator::post(sim::Slice path,
+                              host::HttpClient::ResponseCallback cb) {
+  request_.clear();
+  request_.set_method("POST");
+  request_.set_path(path);
+  http_.request(bank_, request_, std::move(cb));
 }
 
 }  // namespace mcs::core

@@ -90,7 +90,12 @@ class PaymentCoordinator {
   const sim::StatsRegistry& stats() const { return stats_; }
 
  private:
+  // POST `path` (no body) to the bank; the request is serialized before
+  // this returns, so `path` may be a scratch buffer.
+  void post(sim::Slice path, host::HttpClient::ResponseCallback cb);
+
   host::HttpClient& http_;
+  host::HttpRequest request_;  // reused for every 2PC message
   net::Endpoint bank_;
   host::db::Database& db_;
   sim::Simulator& sim_;

@@ -36,14 +36,13 @@ void DesktopClient::fetch(const std::string& url,
     cb(FetchResult{});
     return;
   }
-  const auto resolver = middleware::dotted_quad_resolver();
-  const auto ep = resolver(parsed->host, parsed->port);
-  if (!ep.has_value()) {
+  const auto addr = middleware::parse_dotted_quad(parsed->host);
+  if (!addr.has_value()) {
     cb(FetchResult{});
     return;
   }
   const sim::Time start = sim_.now();
-  http_.get(*ep, parsed->path,
+  http_.get(net::Endpoint{*addr, parsed->port}, parsed->path,
             [this, start, cb = std::move(cb)](
                 std::optional<host::HttpResponse> resp) {
     FetchResult f;

@@ -21,7 +21,7 @@ class AppServer {
   };
   // A program answers asynchronously (database round trips are async).
   using Program = std::function<void(const HttpRequest&, Context&,
-                                     std::function<void(HttpResponse)>)>;
+                                     HttpServer::Responder)>;
 
   AppServer(HttpServer& http, Context ctx) : http_{http}, ctx_{ctx} {}
   AppServer(const AppServer&) = delete;
@@ -37,8 +37,8 @@ class AppServer {
     http_.route_async(method, prefix,
                       [this, program = std::move(program)](
                           const HttpRequest& req,
-                          std::function<void(HttpResponse)> respond) {
-                        program(req, ctx_, std::move(respond));
+                          HttpServer::Responder respond) {
+                        program(req, ctx_, respond);
                       });
     ++programs_;
   }
@@ -52,9 +52,10 @@ class AppServer {
   std::size_t programs_ = 0;
 };
 
-// Query-string helper for CGI parameters: "/buy?item=5&qty=2".
-std::string query_param(const std::string& path, const std::string& key);
-// Path without the query string.
-std::string path_without_query(const std::string& path);
+// Query-string helper for CGI parameters: "/buy?item=5&qty=2". A view into
+// `path`; the first pair whose key matches wins, empty if none does.
+sim::Slice query_param(sim::Slice path, sim::Slice key);
+// Path without the query string, as a view into `path`.
+sim::Slice path_without_query(sim::Slice path);
 
 }  // namespace mcs::host

@@ -1,7 +1,5 @@
 #include "middleware/wap_gateway.h"
 
-#include <cstdlib>
-
 #include "middleware/translate.h"
 #include "obs/trace.h"
 #include "sim/arena.h"
@@ -10,34 +8,50 @@
 
 namespace mcs::middleware {
 
-using sim::strf;
+
+std::optional<net::IpAddress> parse_dotted_quad(sim::Slice host) {
+  std::uint32_t v = 0;
+  int fields = 0;
+  std::size_t i = 0;
+  while (fields < 4) {
+    std::uint32_t octet = 0;
+    const std::size_t start = i;
+    for (; i < host.size() && host[i] >= '0' && host[i] <= '9'; ++i) {
+      octet = octet * 10 + static_cast<std::uint32_t>(host[i] - '0');
+      if (octet > 255) return std::nullopt;
+    }
+    if (i == start) return std::nullopt;
+    v = (v << 8) | octet;
+    ++fields;
+    if (fields < 4) {
+      if (i == host.size() || host[i] != '.') return std::nullopt;
+      ++i;
+    }
+  }
+  if (i != host.size()) return std::nullopt;
+  return net::IpAddress{v};
+}
 
 HostResolver dotted_quad_resolver() {
-  return [](const std::string& host,
+  return [](sim::Slice host,
             std::uint16_t port) -> std::optional<net::Endpoint> {
-    const auto parts = sim::split(host, '.');
-    if (parts.size() != 4) return std::nullopt;
-    std::uint32_t v = 0;
-    for (const auto& p : parts) {
-      if (p.empty()) return std::nullopt;
-      const long octet = std::strtol(p.c_str(), nullptr, 10);
-      if (octet < 0 || octet > 255) return std::nullopt;
-      v = (v << 8) | static_cast<std::uint32_t>(octet);
-    }
-    return net::Endpoint{net::IpAddress{v}, port};
+    const auto addr = parse_dotted_quad(host);
+    if (!addr.has_value()) return std::nullopt;
+    return net::Endpoint{*addr, port};
   };
 }
 
 std::string wsp_encode_request(const std::string& url) { return "GET " + url; }
 
-std::optional<std::string> wsp_decode_request(const std::string& payload) {
-  if (!sim::starts_with(payload, "GET ")) return std::nullopt;
-  return payload.substr(4);
+std::optional<sim::Slice> wsp_decode_request(sim::Slice payload) {
+  if (!payload.starts_with("GET ")) return std::nullopt;
+  payload.remove_prefix(4);
+  return payload;
 }
 
-std::string wsp_encode_response(int status, const std::string& content_type,
-                                const std::string& body) {
-  return strf("%d %s\n", status, content_type.c_str()) + body;
+std::string wsp_encode_response(int status, sim::Slice content_type,
+                                sim::Slice body) {
+  return sim::cat(sim::i64s(status), " ", content_type, "\n", body);
 }
 
 std::optional<WspResponse> wsp_decode_response(const std::string& payload) {
@@ -187,19 +201,19 @@ void WapGateway::handle_request(const std::string& payload,
     return;
   }
   // Play the phone's cookies toward the origin server.
-  const std::string origin = upstream->to_string();
-  host::HttpRequest up_req;
-  up_req.method = "GET";
-  up_req.path = parsed->path;
-  up_req.set_header("Host", origin);
-  up_req.set_header("User-Agent", "mcs-wap-gateway/1.0");
+  const net::EndpointText origin = upstream->text();
+  up_req_.clear();
+  up_req_.set_path(parsed->path);
+  up_req_.set_header("Host", origin);
+  up_req_.set_header("User-Agent", "mcs-wap-gateway/1.0");
   if (const std::string cookies = phone_jars_[from].cookie_header(origin);
       !cookies.empty()) {
-    up_req.set_header("Cookie", cookies);
+    up_req_.set_header("Cookie", cookies);
   }
   obs::ActiveScope scope{gw};
-  http_.request(*upstream, up_req,
-            [this, from, origin, gw, respond = std::move(respond)](
+  http_.request(*upstream, up_req_,
+            [this, from, upstream = *upstream, gw,
+             respond = std::move(respond)](
                 std::optional<host::HttpResponse> resp) mutable {
     if (!resp.has_value()) {
       ++stats_.upstream_failures;
@@ -207,7 +221,7 @@ void WapGateway::handle_request(const std::string& payload,
       return;
     }
     stats_.html_bytes_in += resp->body.size();
-    phone_jars_[from].update_from(origin, *resp);
+    phone_jars_[from].update_from(upstream.text(), *resp);
     if (resp->status != 200) {
       respond(wsp_encode_response(resp->status, "text/plain", resp->body));
       return;
@@ -253,79 +267,84 @@ IModeGateway::IModeGateway(transport::TcpStack& tcp, HostResolver resolver,
       resolver_{std::move(resolver)},
       server_{tcp, cfg.port, "imode-gw/1.0"},
       http_{tcp} {
-  server_.route_async(
-      "GET", "/",
-      [this](const host::HttpRequest& req,
-             std::function<void(host::HttpResponse)> respond) {
-        handle(req, std::move(respond));
-      });
+  server_.route_async("GET", "/",
+                      [this](const host::HttpRequest& req,
+                             host::HttpServer::Responder respond) {
+                        handle(req, respond);
+                      });
+}
+
+void IModeGateway::reply(obs::TraceContext gw,
+                         host::HttpServer::Responder respond,
+                         host::HttpResponse resp) {
+  obs::end_span(gw, tcp_.sim().now());
+  obs::ActiveScope scope{gw};
+  respond(std::move(resp));
 }
 
 void IModeGateway::handle(const host::HttpRequest& req,
-                          std::function<void(host::HttpResponse)> respond_raw) {
+                          host::HttpServer::Responder respond) {
   ++stats_.requests;
   obs::metric_add(m_requests_);
   const obs::TraceContext gw = obs::begin_span(
       obs::Component::kMiddleware, "imode.request", tcp_.sim().now());
-  auto respond = [this, gw, respond_raw = std::move(respond_raw)](
-                     host::HttpResponse response) mutable {
-    obs::end_span(gw, tcp_.sim().now());
-    obs::ActiveScope scope{gw};
-    respond_raw(std::move(response));
-  };
   // The phone requests "/<host>:<port>/<path...>" through the gateway
   // (or passes an absolute URL in the path).
-  std::string target = req.path;
-  if (!target.empty() && target.front() == '/') target.erase(0, 1);
+  sim::Slice target = req.path();
+  if (!target.empty() && target.front() == '/') target.remove_prefix(1);
   const auto parsed = host::parse_url(target);
   if (!parsed.has_value()) {
-    respond(host::HttpResponse::bad_request("bad target url"));
+    reply(gw, respond, host::HttpResponse::bad_request("bad target url"));
     return;
   }
   const auto upstream = resolver_(parsed->host, parsed->port);
   if (!upstream.has_value()) {
-    respond(host::HttpResponse::make(502, "text/plain", "cannot resolve"));
+    reply(gw, respond,
+          host::HttpResponse::make(502, "text/plain", "cannot resolve"));
     return;
   }
   // Cookies on behalf of the phone, keyed by its TCP endpoint.
-  const std::string phone = req.header("X-Peer");
-  const std::string origin = upstream->to_string();
-  host::HttpRequest up_req;
-  up_req.method = "GET";
-  up_req.path = parsed->path;
-  up_req.set_header("Host", origin);
-  up_req.set_header("User-Agent", "mcs-imode-gateway/1.0");
+  const net::Endpoint phone = req.peer;
+  const net::EndpointText origin = upstream->text();
+  up_req_.clear();
+  up_req_.set_path(parsed->path);
+  up_req_.set_header("Host", origin);
+  up_req_.set_header("User-Agent", "mcs-imode-gateway/1.0");
   if (const std::string cookies = phone_jars_[phone].cookie_header(origin);
       !cookies.empty()) {
-    up_req.set_header("Cookie", cookies);
+    up_req_.set_header("Cookie", cookies);
   }
   obs::ActiveScope scope{gw};
-  http_.request(*upstream, up_req,
-            [this, phone, origin, gw, respond = std::move(respond)](
-                std::optional<host::HttpResponse> resp) mutable {
+  http_.request(*upstream, up_req_,
+            [this, phone, upstream = *upstream, gw, respond](
+                std::optional<host::HttpResponse> resp) {
     if (!resp.has_value()) {
       ++stats_.upstream_failures;
-      respond(host::HttpResponse::make(502, "text/plain", "origin down"));
+      reply(gw, respond,
+            host::HttpResponse::make(502, "text/plain", "origin down"));
       return;
     }
     stats_.html_bytes_in += resp->body.size();
-    phone_jars_[phone].update_from(origin, *resp);
+    phone_jars_[phone].update_from(upstream.text(), *resp);
     if (resp->status != 200) {
-      respond(std::move(*resp));
+      reply(gw, respond, std::move(*resp));
       return;
     }
     const obs::TraceContext xlate = obs::begin_child(
         gw, obs::Component::kMiddleware, "imode.translate", tcp_.sim().now());
     tcp_.sim().after(cfg_.translation_delay,
-                     [this, xlate, body = std::move(resp->body),
-                      respond = std::move(respond)]() mutable {
+                     [this, xlate, gw, body = std::move(resp->body),
+                      respond] {
       obs::end_span(xlate, tcp_.sim().now());
-      // Fused zero-copy translation into the reused buffer (translate.cpp).
+      // Fused zero-copy translation into the reused buffer (translate.cpp),
+      // which goes to the wire as the body with no intermediate copy.
       translate_html(body, MarkupKind::kChtml, cfg_.adaptation, chtml_buf_);
       stats_.chtml_bytes_out += chtml_buf_.size();
       obs::metric_add(m_translations_);
-      respond(host::HttpResponse::make(200, "text/html; charset=cp932",
-                                       chtml_buf_));
+      obs::end_span(gw, tcp_.sim().now());
+      obs::ActiveScope in_gw{gw};
+      respond(host::HttpResponse::make(200, "text/html; charset=cp932"),
+              chtml_buf_);
     });
   });
 }

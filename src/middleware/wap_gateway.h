@@ -7,6 +7,7 @@
 
 #include "host/http_server.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "security/wtls.h"
 #include "middleware/adaptation.h"
 #include "middleware/wtp.h"
@@ -16,8 +17,10 @@ namespace mcs::middleware {
 // Maps a symbolic or dotted host name (plus port) to a network endpoint;
 // plays the role of DNS for gateways and browsers.
 using HostResolver =
-    std::function<std::optional<net::Endpoint>(const std::string& host,
+    std::function<std::optional<net::Endpoint>(sim::Slice host,
                                                std::uint16_t port)>;
+// "a.b.c.d": four '.'-separated fields of ASCII digits, each 0-255.
+std::optional<net::IpAddress> parse_dotted_quad(sim::Slice host);
 // Resolves dotted-quad hosts only ("10.0.0.5"); returns nullopt otherwise.
 HostResolver dotted_quad_resolver();
 
@@ -32,9 +35,10 @@ struct WspResponse {
   std::string body;
 };
 std::string wsp_encode_request(const std::string& url);
-std::optional<std::string> wsp_decode_request(const std::string& payload);
-std::string wsp_encode_response(int status, const std::string& content_type,
-                                const std::string& body);
+// The URL, as a view into `payload`.
+std::optional<sim::Slice> wsp_decode_request(sim::Slice payload);
+std::string wsp_encode_response(int status, sim::Slice content_type,
+                                sim::Slice body);
 std::optional<WspResponse> wsp_decode_response(const std::string& payload);
 
 // Pre-shared CA MAC key that phones ship with (models the root certificate
@@ -99,6 +103,7 @@ class WapGateway {
   HostResolver resolver_;
   WtpEndpoint wtp_;
   host::HttpClient http_;
+  host::HttpRequest up_req_;  // origin request, rebuilt in place per request
   std::unordered_map<net::Endpoint, host::CookieJar> phone_jars_;
   // WTLS identity + one record channel per secured phone.
   security::DhKeyPair wtls_key_;
@@ -149,15 +154,20 @@ class IModeGateway {
 
  private:
   void handle(const host::HttpRequest& req,
-              std::function<void(host::HttpResponse)> respond);
+              host::HttpServer::Responder respond);
+  // Close the gateway span, then answer inside it so the response bytes
+  // carry its trace context.
+  void reply(obs::TraceContext gw, host::HttpServer::Responder respond,
+             host::HttpResponse resp);
 
   transport::TcpStack& tcp_;
   IModeGatewayConfig cfg_;
   HostResolver resolver_;
   host::HttpServer server_;
   host::HttpClient http_;
-  // Per-phone cookie jar, keyed by the phone's TCP endpoint (X-Peer).
-  std::unordered_map<std::string, host::CookieJar> phone_jars_;
+  host::HttpRequest up_req_;  // origin request, rebuilt in place per request
+  // Per-phone cookie jar, keyed by the phone's TCP endpoint.
+  std::unordered_map<net::Endpoint, host::CookieJar> phone_jars_;
   Stats stats_;
   // Telemetry handles, cached at construction (obs/metrics.h); shared names
   // with WapGateway so "middleware.*" totals cover either gateway flavour.

@@ -25,12 +25,20 @@ std::string IpAddress::to_string() const {
   });
 }
 
-std::string Endpoint::to_string() const {
-  return sim::build(21, [&](std::string& out) {
-    sim::BufWriter w{out};
-    append_ip(w, addr);
-    w.ch(':').u64(port);
-  });
+std::string Endpoint::to_string() const { return sim::cat(text()); }
+
+EndpointText Endpoint::text() const {
+  EndpointText out;
+  const auto put = [&out](std::string_view s) {
+    for (const char c : s) out.buf[out.len++] = c;
+  };
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    put(sim::u64s((addr.v >> shift) & 0xff));
+    if (shift > 0) put(".");
+  }
+  put(":");
+  put(sim::u64s(port));
+  return out;
 }
 
 }  // namespace mcs::net

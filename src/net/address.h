@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 namespace mcs::net {
 
@@ -29,6 +30,15 @@ struct IpAddress {
 
 inline constexpr IpAddress kUnspecified{};
 
+// "a.b.c.d:port" in a fixed buffer: an endpoint's text with no heap
+// traffic. Converts to std::string_view (valid while this value lives).
+struct EndpointText {
+  char buf[24] = {};  // "255.255.255.255:65535" is 21 bytes
+  unsigned char len = 0;
+  // NOLINTNEXTLINE(runtime/explicit)
+  operator std::string_view() const { return {buf, len}; }
+};
+
 // Address + port; identifies one transport endpoint.
 struct Endpoint {
   IpAddress addr;
@@ -36,6 +46,7 @@ struct Endpoint {
 
   friend constexpr auto operator<=>(const Endpoint&, const Endpoint&) = default;
   std::string to_string() const;
+  EndpointText text() const;
 };
 
 }  // namespace mcs::net

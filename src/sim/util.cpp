@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 namespace mcs::sim {
 
@@ -96,6 +98,32 @@ std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t seed) {
 
 std::uint64_t fnv1a(const std::string& s, std::uint64_t seed) {
   return fnv1a(s.data(), s.size(), seed);
+}
+
+namespace {
+
+// Run `parse` over a NUL-terminated copy of `s`.
+template <typename Parse>
+auto with_cstr(std::string_view s, Parse parse) {
+  char buf[64];
+  if (s.size() < sizeof buf) {
+    std::memcpy(buf, s.data(), s.size());
+    buf[s.size()] = '\0';
+    return parse(buf);
+  }
+  const std::string copy{s};
+  return parse(copy.c_str());
+}
+
+}  // namespace
+
+double to_double(std::string_view s) {
+  return with_cstr(s, [](const char* p) { return std::strtod(p, nullptr); });
+}
+
+long long to_int64(std::string_view s) {
+  return with_cstr(s,
+                   [](const char* p) { return std::strtoll(p, nullptr, 10); });
 }
 
 }  // namespace mcs::sim

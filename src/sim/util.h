@@ -70,6 +70,12 @@ inline std::string_view trim_view(std::string_view s) {
   return std::string_view{s.data() + b, e - b};
 }
 
+// std::strtod / std::strtoll (base 10) over a view that is not
+// NUL-terminated: the result the C call gives on a copy of `s`, copied
+// through a stack buffer when `s` is short.
+double to_double(std::string_view s);
+long long to_int64(std::string_view s);
+
 // FNV-1a 64-bit hash; used for checksums and non-cryptographic MACs.
 std::uint64_t fnv1a(const void* data, std::size_t len,
                     std::uint64_t seed = 14695981039346656037ull);

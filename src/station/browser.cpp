@@ -86,10 +86,11 @@ void MicroBrowser::browse(const std::string& url, PageCallback cb) {
   }
 
   // i-mode: GET /<host:port/path> through the gateway over persistent HTTP.
-  const auto path = sim::cat("/", url);
-  battery_.drain_tx_bytes(path.size() + 60);
+  imode_path_.clear();
+  sim::BufWriter{imode_path_}.put("/").put(url);
+  battery_.drain_tx_bytes(imode_path_.size() + 60);
   obs::ActiveScope scope{page};
-  http_->get(cfg_.gateway, path,
+  http_->get(cfg_.gateway, imode_path_,
              [this, url, started, page, cb = std::move(done)](
                  std::optional<host::HttpResponse> resp) mutable {
     if (!resp.has_value()) {

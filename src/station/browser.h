@@ -90,6 +90,7 @@ class MicroBrowser {
   LruCache<PageResult> cache_;
   std::unique_ptr<middleware::WtpEndpoint> wtp_;  // WAP mode
   std::unique_ptr<host::HttpClient> http_;        // i-mode mode
+  std::string imode_path_;  // "/<url>" request target, reused per fetch
   sim::Rng rng_{0xB205E2ull};
   std::optional<security::SecureChannel> wtls_channel_;
   bool wtls_handshaking_ = false;

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/apps.h"
+#include "net/network.h"
 
 namespace mcs::core {
 namespace {
@@ -65,7 +68,7 @@ TEST(McSystemTest, DynamicRouteHitsDatabaseServer) {
       "GET", "/kv",
       [](const host::HttpRequest& req, host::AppServer::Context& ctx,
          auto respond) {
-        ctx.db->get("kv", host::query_param(req.path, "k"),
+        ctx.db->get("kv", std::string{host::query_param(req.path(), "k")},
                     [respond](host::db::DbClient::Result r) mutable {
           respond(host::HttpResponse::make(
               200, "text/html",
@@ -207,6 +210,73 @@ TEST_F(PaymentFixture, ConcurrentChargesRespectReservations) {
   EXPECT_EQ(ok, 1);
   EXPECT_EQ(failed, 1);
   EXPECT_DOUBLE_EQ(sys.bank().balance("acct3"), 400.0);
+}
+
+// The coordinator's 2PC messages on the wire, golden, against a raw bank
+// that votes yes for "k-1" and no for everything else.
+TEST(PaymentWireTest, TwoPhaseCommitPostsMatchGoldenWireBytes) {
+  sim::Simulator sim;
+  net::Network network{sim, 5};
+  net::Node* merchant = network.add_node("merchant");
+  net::Node* bank = network.add_node("bank");
+  network.connect(merchant, bank);
+  network.compute_routes();
+  transport::TcpStack merchant_tcp{*merchant};
+  transport::TcpStack bank_tcp{*bank};
+  std::string got;
+  std::size_t answered = 0;
+  std::vector<transport::TcpSocket::Ptr> accepted;
+  bank_tcp.listen(80, [&](transport::TcpSocket::Ptr s) {
+    transport::TcpSocket* raw = s.get();
+    s->on_data = [&, raw](const std::string& bytes) {
+      got += bytes;
+      // Bodiless POSTs: one request per blank line.
+      std::size_t pos = 0;
+      for (std::size_t i = 0; i < answered; ++i) {
+        pos = got.find("\r\n\r\n", pos) + 4;
+      }
+      for (std::size_t end; (end = got.find("\r\n\r\n", pos)) !=
+                            std::string::npos;
+           pos = end + 4, ++answered) {
+        const std::string line = got.substr(pos, got.find("\r\n", pos) - pos);
+        const char* body = line.find("/bank/prepare?txn=k-1&") !=
+                                   std::string::npos
+                               ? "VOTE-YES"
+                           : line.find("/bank/prepare") != std::string::npos
+                               ? "VOTE-NO:insufficient"
+                               : "DONE";
+        raw->send(sim::strf("HTTP/1.1 200 OK\r\nContent-Length: %zu\r\n"
+                            "\r\n%s",
+                            std::strlen(body), body));
+      }
+    };
+    accepted.push_back(std::move(s));
+  });
+  host::HttpClient http{merchant_tcp};
+  host::db::Database orders{"orders"};
+  PaymentCoordinator coordinator{http, {bank->addr(), 80}, orders, sim};
+  std::vector<PaymentCoordinator::Outcome> outcomes;
+  coordinator.charge("k-1", "acct1", 12.5, "book",
+                     [&](PaymentCoordinator::Outcome o) {
+                       outcomes.push_back(std::move(o));
+                     });
+  sim.run();
+  coordinator.charge("k-2", "acct2", 99.999, "yacht",
+                     [&](PaymentCoordinator::Outcome o) {
+                       outcomes.push_back(std::move(o));
+                     });
+  sim.run();
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_TRUE(outcomes[0].ok);
+  EXPECT_FALSE(outcomes[1].ok);
+  EXPECT_EQ(outcomes[1].failure, "prepare-refused: VOTE-NO:insufficient");
+  EXPECT_EQ(got,
+            "POST /bank/prepare?txn=k-1&account=acct1&amount=12.50 HTTP/1.1"
+            "\r\n\r\n"
+            "POST /bank/commit?txn=k-1 HTTP/1.1\r\n\r\n"
+            "POST /bank/prepare?txn=k-2&account=acct2&amount=100.00 HTTP/1.1"
+            "\r\n\r\n"
+            "POST /bank/abort?txn=k-2 HTTP/1.1\r\n\r\n");
 }
 
 TEST(PersonalizationTest, CatalogRankingFollowsInterests) {

@@ -74,8 +74,8 @@ TEST_F(WebFixture, MethodsAreDistinct) {
   });
   std::optional<HttpResponse> got;
   HttpRequest req;
-  req.method = "POST";
-  req.path = "/submit";
+  req.set_method("POST");
+  req.set_path("/submit");
   req.body = "payload";
   client->request(server_ep(), req, [&](auto r) { got = r; });
 
@@ -104,7 +104,7 @@ TEST_F(WebFixture, KeepAliveReusesOneConnection) {
 TEST_F(WebFixture, ConnectionCloseHeaderClosesAfterResponse) {
   server->add_content("/a", "text/plain", "A");
   HttpRequest req;
-  req.path = "/a";
+  req.set_path("/a");
   req.set_header("Connection", "close");
   std::optional<HttpResponse> got;
   client->request(server_ep(), req, [&](auto r) { got = r; });
@@ -203,6 +203,63 @@ TEST_F(WebFixture, PipelinedResponsesStayInRequestOrder) {
   EXPECT_EQ(client->stats().counter("connections_opened").value(), 1u);
 }
 
+// Raw bytes on the wire, golden: status line, header order (byte order of
+// names, a synthesized Content-Length last) and bodies.
+TEST_F(WebFixture, ResponsesMatchGoldenWireBytes) {
+  server->add_content("/hello", "text/plain", "hello");
+  server->route("POST", "/echo", [](const HttpRequest& req) {
+    return HttpResponse::make(201, "text/plain", "got:" + req.body);
+  });
+  std::string got;
+  auto raw = client_tcp->connect(server_ep());
+  raw->on_data = [&](const std::string& bytes) { got += bytes; };
+  const std::string requests =
+      "GET /hello HTTP/1.1\r\nHost: shop\r\n\r\n"
+      "GET /nope HTTP/1.1\r\n\r\n"
+      "POST /echo HTTP/1.1\r\nContent-Length: 3\r\n\r\nabc"
+      "GET /hello HTTP/1.1\r\nConnection: close\r\n\r\n";
+  raw->send(requests);
+  sim.run();
+  EXPECT_EQ(got,
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
+            "Server: mcs-httpd/1.0\r\nContent-Length: 5\r\n\r\nhello"
+            "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain\r\n"
+            "Server: mcs-httpd/1.0\r\nContent-Length: 16\r\n\r\n"
+            "not found: /nope"
+            "HTTP/1.1 201 Created\r\nContent-Type: text/plain\r\n"
+            "Server: mcs-httpd/1.0\r\nContent-Length: 7\r\n\r\ngot:abc"
+            "HTTP/1.1 200 OK\r\nConnection: close\r\n"
+            "Content-Type: text/plain\r\nServer: mcs-httpd/1.0\r\n"
+            "Content-Length: 5\r\n\r\nhello");
+  // Only the bytes parsed off the wire count as request bytes.
+  EXPECT_EQ(server->stats().counter("request_bytes").value(),
+            requests.size());
+}
+
+TEST_F(WebFixture, ClientRequestsMatchGoldenWireBytes) {
+  std::string got;
+  std::vector<transport::TcpSocket::Ptr> accepted;
+  server_tcp->listen(8080, [&](transport::TcpSocket::Ptr s) {
+    s->on_data = [&](const std::string& bytes) { got += bytes; };
+    accepted.push_back(std::move(s));
+  });
+  const net::Endpoint raw_ep{server_node->addr(), 8080};
+  client->get(raw_ep, "/a/b?c=1", [](auto) {});
+  HttpRequest post;
+  post.set_method("POST");
+  post.set_path("/submit");
+  post.set_header("Host", "shop");
+  post.set_header("Accept", "*/*");
+  post.body = "payload";
+  client->request(raw_ep, post, [](auto) {});
+  sim.run();
+  const std::string host = raw_ep.to_string();
+  EXPECT_EQ(got, "GET /a/b?c=1 HTTP/1.1\r\nHost: " + host +
+                     "\r\n\r\n"
+                     "POST /submit HTTP/1.1\r\nAccept: */*\r\nHost: shop\r\n"
+                     "Content-Length: 7\r\n\r\npayload");
+}
+
 TEST_F(WebFixture, AppServerInstallsPrograms) {
   AppServer::Context ctx;
   ctx.sim = &sim;
@@ -211,7 +268,7 @@ TEST_F(WebFixture, AppServerInstallsPrograms) {
               [](const HttpRequest& req, AppServer::Context&, auto respond) {
                 respond(HttpResponse::make(
                     200, "text/plain",
-                    "hello " + query_param(req.path, "name")));
+                    sim::cat("hello ", query_param(req.path(), "name"))));
               });
   EXPECT_EQ(app.installed_programs(), 1u);
   std::optional<HttpResponse> got;

@@ -74,6 +74,15 @@ TEST(ResolverTest, DottedQuad) {
   EXPECT_FALSE(r("shop.example", 80).has_value());
   EXPECT_FALSE(r("10.0.0", 80).has_value());
   EXPECT_FALSE(r("10.0.0.999", 80).has_value());
+  // Four fields of ASCII digits and nothing else.
+  EXPECT_FALSE(r("10.0.0.1x", 80).has_value());
+  EXPECT_FALSE(r(" 10.0.0.1", 80).has_value());
+  EXPECT_FALSE(r("+10.0.0.1", 80).has_value());
+  EXPECT_FALSE(r("10.0.0.-0", 80).has_value());
+  EXPECT_FALSE(r("10.0.0.1.", 80).has_value());
+  EXPECT_FALSE(r("10..0.1", 80).has_value());
+  EXPECT_FALSE(r("10.0.0.256", 80).has_value());
+  EXPECT_EQ(r("10.0.0.255", 80)->addr, (net::IpAddress{10, 0, 0, 255}));
 }
 
 TEST_F(GatewayFixture, WtpInvokeResultRoundTrip) {
@@ -257,9 +266,88 @@ TEST_F(GatewayFixture, IModeResponseWireSizeMatchesSerializedBytes) {
                  [&](std::optional<host::HttpResponse> r) { got = r; });
   sim.run();
   ASSERT_TRUE(got.has_value());
-  ASSERT_FALSE(got->headers.empty());
+  ASSERT_NE(got->header_count(), 0u);
   ASSERT_FALSE(got->body.empty());
   EXPECT_EQ(got->wire_size(), got->serialize().size());
+}
+
+// An origin on web:8080 that records the raw request bytes and answers each
+// request with `reply` (the first one also sets a cookie).
+struct RawOrigin {
+  explicit RawOrigin(transport::TcpStack& tcp) {
+    tcp.listen(8080, [this](transport::TcpSocket::Ptr s) {
+      transport::TcpSocket* raw = s.get();
+      s->on_data = [this, raw](const std::string& bytes) {
+        got += bytes;
+        for (; answered < count_heads(); ++answered) {
+          raw->send(answered == 0
+                        ? "HTTP/1.1 200 OK\r\nSet-Cookie: sid=7\r\n"
+                          "Content-Length: 2\r\n\r\nhi"
+                        : "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi");
+        }
+      };
+      sockets.push_back(std::move(s));
+    });
+  }
+  std::size_t count_heads() const {
+    std::size_t n = 0;
+    for (std::size_t at = got.find("\r\n\r\n"); at != std::string::npos;
+         at = got.find("\r\n\r\n", at + 4)) {
+      ++n;
+    }
+    return n;
+  }
+  std::string got;
+  std::size_t answered = 0;
+  std::vector<transport::TcpSocket::Ptr> sockets;
+};
+
+TEST_F(GatewayFixture, IModeUpstreamRequestsMatchGoldenWireBytes) {
+  RawOrigin origin{*web_tcp};
+  IModeGateway gw{*gw_tcp, dotted_quad_resolver()};
+  host::HttpClient phone_http{*phone_tcp};
+  const std::string target = web->addr().to_string() + ":8080";
+  int done = 0;
+  for (int i = 0; i < 2; ++i) {
+    phone_http.get({gateway->addr(), kIModeGatewayPort},
+                   "/" + target + "/cart?item=5",
+                   [&](std::optional<host::HttpResponse> r) {
+                     if (r.has_value()) ++done;
+                   });
+    sim.run();
+  }
+  EXPECT_EQ(done, 2);
+  // The second request plays the cookie the first response set, and the
+  // fields go out in byte order of their names.
+  const std::string get = "GET /cart?item=5 HTTP/1.1\r\n";
+  EXPECT_EQ(origin.got,
+            get + "Host: " + target +
+                "\r\nUser-Agent: mcs-imode-gateway/1.0\r\n\r\n" + get +
+                "Cookie: sid=7\r\nHost: " + target +
+                "\r\nUser-Agent: mcs-imode-gateway/1.0\r\n\r\n");
+}
+
+TEST_F(GatewayFixture, WapUpstreamRequestsMatchGoldenWireBytes) {
+  RawOrigin origin{*web_tcp};
+  WapGateway gw{*gateway, *gw_udp, *gw_tcp, dotted_quad_resolver()};
+  WtpEndpoint phone_wtp{*phone_udp, 9400};
+  const std::string target = web->addr().to_string() + ":8080";
+  int done = 0;
+  for (int i = 0; i < 2; ++i) {
+    phone_wtp.invoke({gateway->addr(), kWapGatewayPort},
+                     wsp_encode_request(target + "/cart?item=5"),
+                     [&](std::optional<std::string> r) {
+                       if (r.has_value()) ++done;
+                     });
+    sim.run_until(sim.now() + sim::Time::seconds(30.0));
+  }
+  EXPECT_EQ(done, 2);
+  const std::string get = "GET /cart?item=5 HTTP/1.1\r\n";
+  EXPECT_EQ(origin.got,
+            get + "Host: " + target +
+                "\r\nUser-Agent: mcs-wap-gateway/1.0\r\n\r\n" + get +
+                "Cookie: sid=7\r\nHost: " + target +
+                "\r\nUser-Agent: mcs-wap-gateway/1.0\r\n\r\n");
 }
 
 TEST_F(GatewayFixture, IModePersistentConnectionHandlesManyRequests) {

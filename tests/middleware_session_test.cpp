@@ -49,19 +49,33 @@ TEST(CookieJarTest, MalformedPairsIgnored) {
   EXPECT_EQ(jar.cookie_header("o"), "ok=yes");
 }
 
+TEST(CookieJarTest, RepeatedSetCookieFieldsAllCount) {
+  // Two Set-Cookie lines in one response are two cookies, not the last one.
+  host::HttpParser parser{host::HttpParser::Mode::kResponse};
+  host::CookieJar jar;
+  parser.on_response = [&](host::HttpResponse& resp) {
+    jar.update_from("o", resp);
+  };
+  parser.feed(
+      "HTTP/1.1 200 OK\r\nSet-Cookie: a=1; Path=/\r\n"
+      "Set-Cookie: b=2, c=3\r\nContent-Length: 0\r\n\r\n");
+  EXPECT_EQ(jar.cookie_header("o"), "a=1; b=2; c=3");
+  EXPECT_EQ(jar.size(), 3u);
+}
+
 // --- Gateway-held sessions end to end ------------------------------------------
 
 // Install a tiny session app: /login?user=X sets a cookie; /me reads it.
 void install_session_app(host::HttpServer& web) {
   web.route("GET", "/login", [](const host::HttpRequest& req) {
-    const std::string user = host::query_param(req.path, "user");
+    const std::string user{host::query_param(req.path(), "user")};
     auto resp = host::HttpResponse::make(
         200, "text/html", "<p>WELCOME " + user + "</p>");
     resp.set_header("Set-Cookie", "session=" + user + "-token");
     return resp;
   });
   web.route("GET", "/me", [](const host::HttpRequest& req) {
-    const std::string cookies = req.header("Cookie");
+    const std::string cookies{req.header("Cookie")};
     const std::size_t at = cookies.find("session=");
     if (at == std::string::npos) {
       return host::HttpResponse::make(401, "text/html",
@@ -120,7 +134,7 @@ TEST(GatewaySessionTest2, XPeerHeaderIdentifiesClients) {
   core::EcSystem sys{sim, cfg};
   std::vector<std::string> peers;
   sys.web_server().route("GET", "/whoami", [&](const host::HttpRequest& req) {
-    peers.push_back(req.header("X-Peer"));
+    peers.push_back(req.peer.to_string());
     return host::HttpResponse::make(200, "text/plain", "ok");
   });
   sys.client(0).driver->fetch(sys.web_url("/whoami"), [](auto) {});

@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Tests for check_e2e_ledger.py over synthetic e2ebench/run.py outputs:
+equal passes, any rise fails, a fall fails until the baseline is committed,
+and wrong seeds, incorrect or missing results fail. Registered in ctest as
+e2e_ledger_gate_test."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+import tempfile
+import unittest
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent / "check_e2e_ledger.py"
+
+BASELINE = {
+    "bench": "e2e",
+    "seed": 2003,
+    "workloads": {
+        "wl-a": {"allocs_per_txn": 100.5, "alloc_kb_per_txn": 10.25},
+        "wl-b": {"allocs_per_txn": 60.0, "alloc_kb_per_txn": 9.0},
+    },
+}
+
+
+def run_output(workload: str, allocs: float, kb: float, seed: int = 2003,
+               correct: bool = True) -> str:
+    result = {"correct": correct, "attempted": 10, "failed": 0,
+              "metrics": {"allocs_per_txn": {"value": allocs, "unit": "count"},
+                          "alloc_kb_per_txn": {"value": kb, "unit": "KiB"}}}
+    return (f"workload {workload} (seed {seed}): synthetic\n"
+            f"  allocs_per_txn {allocs}\n{json.dumps(result)}\n")
+
+
+class LedgerGateTest(unittest.TestCase):
+    def gate(self, *outputs: str) -> subprocess.CompletedProcess:
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp) / "BENCH_e2e.json"
+            base.write_text(json.dumps(BASELINE), encoding="utf-8")
+            paths = []
+            for i, text in enumerate(outputs):
+                p = Path(tmp) / f"run{i}.txt"
+                p.write_text(text, encoding="utf-8")
+                paths.append(str(p))
+            return subprocess.run(
+                [sys.executable, str(TOOL), "--baseline", str(base), *paths],
+                capture_output=True, text=True, check=False)
+
+    def test_equal_passes(self):
+        r = self.gate(run_output("wl-a", 100.5, 10.25),
+                      run_output("wl-b", 60.0, 9.0))
+        self.assertEqual(r.returncode, 0, r.stderr)
+
+    def test_any_rise_fails(self):
+        r = self.gate(run_output("wl-a", 100.5000001, 10.25),
+                      run_output("wl-b", 60.0, 9.0))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("rose", r.stderr)
+
+    def test_fall_asks_for_new_baseline(self):
+        r = self.gate(run_output("wl-a", 99.0, 10.25),
+                      run_output("wl-b", 60.0, 8.0))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("commit the new baseline", r.stderr)
+
+    def test_fall_within_slack_passes(self):
+        r = self.gate(run_output("wl-a", 100.5 * (1 - 1e-8), 10.25),
+                      run_output("wl-b", 60.0, 9.0))
+        self.assertEqual(r.returncode, 0, r.stderr)
+
+    def test_wrong_seed_incorrect_and_missing_fail(self):
+        r = self.gate(run_output("wl-a", 100.5, 10.25, seed=7919))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("seed 7919", r.stderr)
+        self.assertIn("wl-b: no result given", r.stderr)
+        r = self.gate(run_output("wl-a", 100.5, 10.25, correct=False),
+                      run_output("wl-b", 60.0, 9.0))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("not correct", r.stderr)
+
+    def test_garbage_is_a_usage_error(self):
+        r = self.gate("no report here\n")
+        self.assertEqual(r.returncode, 2)
+
+
+if __name__ == "__main__":
+    unittest.main()

@@ -635,7 +635,13 @@ HOTPATH_ENTRIES = (
     # wbxml_encode) remains as the reference implementation for the
     # translate equivalence tests but is off the per-request path.
     ("gateway", None, "translate_html"),
-    ("host", "HttpServer", "request"),
+    # The web server's side of every exchange: bytes in through the parser,
+    # routing and the response. The gateways' request handlers are reached
+    # only through std::function hops, so they are entries of their own.
+    ("host", "HttpParser", "feed"),
+    ("host", "HttpServer", "dispatch"),
+    ("gateway", "WapGateway", "handle_request"),
+    ("gateway", "IModeGateway", "handle"),
     ("host", "DbServer", "on_line"),
     ("host", "DbClient", "on_data"),
     ("export", "StatsRegistry", "to_json"),

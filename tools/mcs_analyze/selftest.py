@@ -17,6 +17,7 @@ import checks as checks_mod  # noqa: E402
 import cli  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 # file (relative to fixtures/bad) -> {check: minimum finding count}
 EXPECT_BAD = {
@@ -109,6 +110,20 @@ def check_callgraph(failures):
                         f"{sorted(reached)}, missing {sorted(want - reached)}")
 
 
+def check_hotpath_entries(failures):
+    """Every HOTPATH_ENTRIES row must name a function defined in src/: an
+    entry that resolves to nothing silently drops its whole subtree from
+    hotpath-alloc and shard-escape."""
+    files = cli.collect_files([SRC])
+    project, _ = cli.build_project(files, "internal", None)
+    cg = project.callgraph()
+    for component, cls, method in checks_mod.HOTPATH_ENTRIES:
+        if not cg.functions_named(cls, method):
+            name = f"{cls}::{method}" if cls else method
+            failures.append(f"HOTPATH_ENTRIES: ({component!r}, {name}) "
+                            "resolves to no definition under src/")
+
+
 def main() -> int:
     failures = []
 
@@ -145,6 +160,7 @@ def main() -> int:
                         f"{f.path}:{f.line}: {f.message}")
 
     check_callgraph(failures)
+    check_hotpath_entries(failures)
 
     # Coverage guard: every check family must have at least one firing
     # fixture, so a check that silently stops firing fails this test.
