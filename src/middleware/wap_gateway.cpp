@@ -41,7 +41,9 @@ HostResolver dotted_quad_resolver() {
   };
 }
 
-std::string wsp_encode_request(const std::string& url) { return "GET " + url; }
+void wsp_encode_request(sim::Slice url, sim::BufWriter& out) {
+  out.put("GET ").put(url);
+}
 
 std::optional<sim::Slice> wsp_decode_request(sim::Slice payload) {
   if (!payload.starts_with("GET ")) return std::nullopt;
@@ -49,23 +51,29 @@ std::optional<sim::Slice> wsp_decode_request(sim::Slice payload) {
   return payload;
 }
 
-std::string wsp_encode_response(int status, sim::Slice content_type,
-                                sim::Slice body) {
-  return sim::cat(sim::i64s(status), " ", content_type, "\n", body);
+std::size_t wsp_response_size(int status, sim::Slice content_type,
+                              sim::Slice body) {
+  return sim::i64s(status).len + 1 + content_type.size() + 1 + body.size();
 }
 
-std::optional<WspResponse> wsp_decode_response(const std::string& payload) {
+void wsp_encode_response(int status, sim::Slice content_type, sim::Slice body,
+                         sim::BufWriter& out) {
+  out.need(wsp_response_size(status, content_type, body));
+  out.i64(status).ch(' ').put(content_type).ch('\n').put(body);
+}
+
+std::optional<WspResponse> wsp_decode_response(sim::Slice payload) {
   const std::size_t nl = payload.find('\n');
-  if (nl == std::string::npos) return std::nullopt;
+  if (nl == sim::Slice::npos) return std::nullopt;
   // Head-line fields as views (split-on-' ' semantics, empty fields count);
   // only the status and content type are ever read.
-  const sim::Slice head{payload.data(), nl};
+  const sim::Slice head = payload.substr(0, nl);
   sim::Slice f[2];
   std::size_t nf = 0;
   std::size_t start = 0;
   for (std::size_t i = 0; i <= head.size(); ++i) {
     if (i == head.size() || head[i] == ' ') {
-      if (nf < 2) f[nf] = sim::Slice{head.data() + start, i - start};
+      if (nf < 2) f[nf] = head.substr(start, i - start);
       ++nf;
       start = i + 1;
     }
@@ -85,8 +93,8 @@ std::optional<WspResponse> wsp_decode_response(const std::string& payload) {
   }
   r.status = static_cast<int>(sign * v);
   if (r.status == 0) return std::nullopt;
-  if (nf > 1) r.content_type.assign(f[1].data(), f[1].size());
-  r.body.assign(payload, nl + 1, std::string::npos);
+  if (nf > 1) r.content_type = f[1];
+  r.body = payload.substr(nl + 1);
   return r;
 }
 
@@ -108,22 +116,22 @@ WapGateway::WapGateway(net::Node& node, transport::UdpStack& udp,
   wtls_cert_ = security::issue_certificate("wap-gateway",
                                            wtls_key_.public_key,
                                            cfg_.wtls_ca_key);
-  wtp_.on_invoke = [this](const std::string& payload, net::Endpoint from,
-                          std::function<void(std::string)> respond) {
-    on_wtp_invoke(payload, from, std::move(respond));
+  wtp_.on_invoke = [this](sim::MutSlice payload, net::Endpoint from,
+                          WtpEndpoint::Responder respond) {
+    on_wtp_invoke(payload, from, respond);
   };
 }
 
-void WapGateway::on_wtp_invoke(const std::string& payload, net::Endpoint from,
-                               std::function<void(std::string)> respond) {
-  if (sim::starts_with(payload, "WTLS-HELLO ") && cfg_.enable_wtls) {
+void WapGateway::on_wtp_invoke(sim::MutSlice payload, net::Endpoint from,
+                               WtpEndpoint::Responder respond) {
+  const sim::Slice bytes = sim::as_slice(payload);
+  if (bytes.starts_with("WTLS-HELLO ") && cfg_.enable_wtls) {
     // Server side of the handshake; a fresh hello replaces any old session.
     security::WtlsHandshake server{security::WtlsHandshake::Role::kServer,
                                    sim::Rng{from.addr.v ^ from.port},
                                    cfg_.wtls_ca_key, wtls_cert_,
                                    wtls_key_.private_key};
-    const auto shello = server.on_client_hello(
-        std::string_view{payload.data() + 11, payload.size() - 11});
+    const auto shello = server.on_client_hello(bytes.substr(11));
     if (!shello.has_value()) {
       respond("WTLS-ERR bad-hello");
       return;
@@ -133,35 +141,27 @@ void WapGateway::on_wtp_invoke(const std::string& payload, net::Endpoint from,
     ++wtls_sessions_;
     MCS_INVARIANT(wtls_sessions_ >= wtls_channels_.size(),
                   "more live WTLS channels than sessions ever created");
-    respond("WTLS-SHELLO " + *shello);
+    sim::BufWriter{respond.result()}.put("WTLS-SHELLO ").put(*shello);
+    respond.send();
     return;
   }
-  if (sim::starts_with(payload, "WTLS-DATA ")) {
+  if (bytes.starts_with("WTLS-DATA ")) {
     auto it = wtls_channels_.find(from);
     if (it == wtls_channels_.end()) {
       respond("WTLS-ERR no-session");
       return;
     }
-    const auto opened = it->second.open(
-        std::string_view{payload.data() + 10, payload.size() - 10});
+    // Decrypted where it landed: the WTP message buffer.
+    const auto opened = it->second.open(payload.subspan(10));
     if (!opened.has_value()) {
       respond("WTLS-ERR bad-record");
       return;
     }
     // The WAP gap: from here on the request is plaintext inside the gateway.
-    handle_request(*opened, from,
-                   [this, from, respond = std::move(respond)](
-                       std::string response) mutable {
-                     auto ch = wtls_channels_.find(from);
-                     if (ch == wtls_channels_.end()) {
-                       respond("WTLS-ERR session-lost");
-                       return;
-                     }
-                     respond("WTLS-DATA " + ch->second.seal(response));
-                   });
+    handle_request(*opened, from, respond, /*secure=*/true);
     return;
   }
-  handle_request(payload, from, std::move(respond));
+  handle_request(bytes, from, respond, /*secure=*/false);
 }
 
 const host::CookieJar* WapGateway::jar_for(net::Endpoint phone) const {
@@ -169,37 +169,59 @@ const host::CookieJar* WapGateway::jar_for(net::Endpoint phone) const {
   return it == phone_jars_.end() ? nullptr : &it->second;
 }
 
-void WapGateway::handle_request(const std::string& payload,
-                                net::Endpoint from,
-                                std::function<void(std::string)> respond_raw) {
+void WapGateway::reply(std::uint32_t slot, int status,
+                       sim::Slice content_type, sim::Slice body) {
+  Pending& p = pending_[slot];
+  obs::end_span(p.gw, node_.sim().now());
+  obs::ActiveScope scope{p.gw};
+  sim::BufWriter out{p.respond.result()};
+  if (!p.secure) {
+    wsp_encode_response(status, content_type, body, out);
+  } else if (auto ch = wtls_channels_.find(p.from);
+             ch == wtls_channels_.end()) {
+    out.put("WTLS-ERR session-lost");
+  } else {
+    out.put("WTLS-DATA ");
+    const std::size_t record = ch->second.begin_seal(out);
+    wsp_encode_response(status, content_type, body, out);
+    ch->second.end_seal(out, record);
+  }
+  p.respond.send();
+  p.respond = {};
+  pending_.release(slot);
+}
+
+void WapGateway::handle_request(sim::Slice payload, net::Endpoint from,
+                                WtpEndpoint::Responder respond,
+                                bool secure) {
   ++stats_.requests;
   obs::metric_add(m_requests_);
   // Gateway span: child of the stamped invoke (the phone's browse span).
-  // The wrapped respond closes it and re-enters it so the WTP result
-  // datagrams carry this context over the air.
-  const obs::TraceContext gw = obs::begin_span(
-      obs::Component::kMiddleware, "wap.request", node_.sim().now());
-  auto respond = [this, gw, respond_raw = std::move(respond_raw)](
-                     std::string response) mutable {
-    obs::end_span(gw, node_.sim().now());
-    obs::ActiveScope scope{gw};
-    respond_raw(std::move(response));
-  };
+  // reply() closes it and re-enters it so the WTP result datagrams carry
+  // this context over the air.
+  const std::uint32_t slot = pending_.acquire();
+  Pending& p = pending_[slot];
+  p.respond = respond;
+  p.from = from;
+  p.secure = secure;
+  p.gw = obs::begin_span(obs::Component::kMiddleware, "wap.request",
+                         node_.sim().now());
   const auto url = wsp_decode_request(payload);
   if (!url.has_value()) {
-    respond(wsp_encode_response(400, "text/plain", "bad WSP request"));
+    reply(slot, 400, "text/plain", "bad WSP request");
     return;
   }
   const auto parsed = host::parse_url(*url);
   if (!parsed.has_value()) {
-    respond(wsp_encode_response(400, "text/plain", "bad url"));
+    reply(slot, 400, "text/plain", "bad url");
     return;
   }
   const auto upstream = resolver_(parsed->host, parsed->port);
   if (!upstream.has_value()) {
-    respond(wsp_encode_response(502, "text/plain", "cannot resolve host"));
+    reply(slot, 502, "text/plain", "cannot resolve host");
     return;
   }
+  p.upstream = *upstream;
   // Play the phone's cookies toward the origin server.
   const net::EndpointText origin = upstream->text();
   up_req_.clear();
@@ -210,50 +232,56 @@ void WapGateway::handle_request(const std::string& payload,
       !cookies.empty()) {
     up_req_.set_header("Cookie", cookies);
   }
-  obs::ActiveScope scope{gw};
+  obs::ActiveScope scope{p.gw};
   http_.request(*upstream, up_req_,
-            [this, from, upstream = *upstream, gw,
-             respond = std::move(respond)](
-                std::optional<host::HttpResponse> resp) mutable {
-    if (!resp.has_value()) {
-      ++stats_.upstream_failures;
-      respond(wsp_encode_response(502, "text/plain", "origin unreachable"));
-      return;
-    }
-    stats_.html_bytes_in += resp->body.size();
-    phone_jars_[from].update_from(upstream.text(), *resp);
-    if (resp->status != 200) {
-      respond(wsp_encode_response(resp->status, "text/plain", resp->body));
-      return;
-    }
-    // Translate HTML -> WML, adapt, optionally compile to WBXML — after the
-    // simulated translation CPU time.
-    const obs::TraceContext xlate = obs::begin_child(
-        gw, obs::Component::kMiddleware, "wap.translate", node_.sim().now());
-    node_.sim().after(cfg_.translation_delay,
-                      [this, xlate, body = std::move(resp->body),
-                       respond = std::move(respond)]() mutable {
-      obs::end_span(xlate, node_.sim().now());
-      ++stats_.translations;
-      obs::metric_add(m_translations_);
-      // Fused zero-copy translation (translate.cpp): parse + translate +
-      // adapt + serialize (+ WBXML) in one arena pass into reused buffers,
-      // byte-identical to the legacy tree pipeline.
-      translate_html(body, MarkupKind::kWml, cfg_.adaptation, wml_buf_,
-                     cfg_.encode_wbxml ? &wbxml_buf_ : nullptr);
-      stats_.wml_bytes_out += wml_buf_.size();
-      // WSP framing, same bytes as wsp_encode_response(200, type, body).
-      std::string out =
-          cfg_.encode_wbxml
-              ? sim::cat("200 application/vnd.wap.wmlc\n", wbxml_buf_)
-              : sim::cat("200 text/vnd.wap.wml\n", wml_buf_);
-      stats_.air_bytes_out += out.size();
-      obs::metric_add(m_air_bytes_, out.size());
-      MCS_INVARIANT(stats_.translations <= stats_.requests,
-                    "gateway translated more responses than it saw requests");
-      respond(std::move(out));
-    });
-  });
+                [this, slot](std::optional<host::HttpResponse> resp) {
+                  on_upstream(slot, resp);
+                });
+}
+
+void WapGateway::on_upstream(std::uint32_t slot,
+                             std::optional<host::HttpResponse>& resp) {
+  Pending& p = pending_[slot];
+  if (!resp.has_value()) {
+    ++stats_.upstream_failures;
+    reply(slot, 502, "text/plain", "origin unreachable");
+    return;
+  }
+  stats_.html_bytes_in += resp->body.size();
+  phone_jars_[p.from].update_from(p.upstream.text(), *resp);
+  if (resp->status != 200) {
+    reply(slot, resp->status, "text/plain", resp->body);
+    return;
+  }
+  // Translate HTML -> WML, adapt, optionally compile to WBXML — after the
+  // simulated translation CPU time. The body waits in the slot.
+  p.xlate = obs::begin_child(p.gw, obs::Component::kMiddleware,
+                             "wap.translate", node_.sim().now());
+  p.body.swap(resp->body);
+  node_.sim().after(cfg_.translation_delay, [this, slot] { translate(slot); });
+}
+
+void WapGateway::translate(std::uint32_t slot) {
+  Pending& p = pending_[slot];
+  obs::end_span(p.xlate, node_.sim().now());
+  ++stats_.translations;
+  obs::metric_add(m_translations_);
+  // Fused zero-copy translation (translate.cpp): parse + translate + adapt +
+  // serialize (+ WBXML) in one arena pass into reused buffers, byte-identical
+  // to the legacy tree pipeline.
+  translate_html(p.body, MarkupKind::kWml, cfg_.adaptation, wml_buf_,
+                 cfg_.encode_wbxml ? &wbxml_buf_ : nullptr);
+  stats_.wml_bytes_out += wml_buf_.size();
+  const sim::Slice type = cfg_.encode_wbxml
+                              ? sim::Slice{"application/vnd.wap.wmlc"}
+                              : sim::Slice{"text/vnd.wap.wml"};
+  const sim::Slice deck = cfg_.encode_wbxml ? wbxml_buf_ : wml_buf_;
+  const std::size_t wsp_bytes = wsp_response_size(200, type, deck);
+  stats_.air_bytes_out += wsp_bytes;
+  obs::metric_add(m_air_bytes_, wsp_bytes);
+  MCS_INVARIANT(stats_.translations <= stats_.requests,
+                "gateway translated more responses than it saw requests");
+  reply(slot, 200, type, deck);
 }
 
 // ---------------------------------------------------------------------------

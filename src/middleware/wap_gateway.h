@@ -9,6 +9,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "security/wtls.h"
+#include "sim/pool.h"
 #include "middleware/adaptation.h"
 #include "middleware/wtp.h"
 
@@ -29,17 +30,22 @@ inline constexpr std::uint16_t kWapGatewayPort = 9201;
 // WSP-lite request/response carried inside WTP transactions:
 //   request:  "GET <url>"
 //   response: "<status> <content-type>\n" <body bytes>
+// Encoders append to the caller's writer (the WTP transaction's buffer, or
+// the inside of a WTLS record); the decoders return views into the payload.
 struct WspResponse {
   int status = 0;
-  std::string content_type;
-  std::string body;
+  sim::Slice content_type;
+  sim::Slice body;
 };
-std::string wsp_encode_request(const std::string& url);
+void wsp_encode_request(sim::Slice url, sim::BufWriter& out);
 // The URL, as a view into `payload`.
 std::optional<sim::Slice> wsp_decode_request(sim::Slice payload);
-std::string wsp_encode_response(int status, sim::Slice content_type,
-                                sim::Slice body);
-std::optional<WspResponse> wsp_decode_response(const std::string& payload);
+void wsp_encode_response(int status, sim::Slice content_type,
+                         sim::Slice body, sim::BufWriter& out);
+// Bytes wsp_encode_response appends for these arguments.
+std::size_t wsp_response_size(int status, sim::Slice content_type,
+                              sim::Slice body);
+std::optional<WspResponse> wsp_decode_response(sim::Slice payload);
 
 // Pre-shared CA MAC key that phones ship with (models the root certificate
 // burned into the handset firmware).
@@ -93,10 +99,32 @@ class WapGateway {
   std::uint64_t wtls_sessions() const { return wtls_sessions_; }
 
  private:
-  void on_wtp_invoke(const std::string& payload, net::Endpoint from,
-                     std::function<void(std::string)> respond);
-  void handle_request(const std::string& payload, net::Endpoint from,
-                      std::function<void(std::string)> respond);
+  // One phone request from its invoke to its WTP result: what the upstream
+  // and translation callbacks need, so they capture only [this, slot] and
+  // stay in std::function's and the kernel's inline storage. Recycled with
+  // the body buffer.
+  struct Pending {
+    WtpEndpoint::Responder respond;
+    net::Endpoint from;
+    net::Endpoint upstream;
+    obs::TraceContext gw;      // "wap.request"
+    obs::TraceContext xlate;   // "wap.translate"
+    bool secure = false;       // answer inside a WTLS record
+    std::string body;          // origin HTML, held over the translation delay
+  };
+
+  void on_wtp_invoke(sim::MutSlice payload, net::Endpoint from,
+                     WtpEndpoint::Responder respond);
+  void handle_request(sim::Slice payload, net::Endpoint from,
+                      WtpEndpoint::Responder respond, bool secure);
+  void on_upstream(std::uint32_t slot,
+                   std::optional<host::HttpResponse>& resp);
+  void translate(std::uint32_t slot);
+  // Close the request's span and answer inside it: the WSP response framed
+  // straight into the WTP result buffer, sealed for a WTLS phone. Frees
+  // `slot`.
+  void reply(std::uint32_t slot, int status, sim::Slice content_type,
+             sim::Slice body);
 
   net::Node& node_;
   WapGatewayConfig cfg_;
@@ -120,6 +148,7 @@ class WapGateway {
   // translation allocates nothing (DESIGN.md §12).
   std::string wml_buf_;
   std::string wbxml_buf_;
+  sim::SlotPool<Pending> pending_;
 };
 
 inline constexpr std::uint16_t kIModeGatewayPort = 8001;

@@ -1,5 +1,7 @@
 #include "middleware/wtp.h"
 
+#include <cstring>
+
 #include "sim/contract.h"
 #include "sim/logging.h"
 #include "sim/util.h"
@@ -23,26 +25,88 @@ std::uint64_t parse_u64(sim::Slice s) {
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// Reassembly
+
+WtpEndpoint::Reassembly::~Reassembly() {
+  sim::detail::arena_unpoison(buf.data(), buf.capacity());
+}
+
+void WtpEndpoint::Reassembly::reset(std::uint32_t nsegs) {
+  sim::detail::arena_unpoison(buf.data(), buf.capacity());
+  buf.clear();
+  tail.clear();
+  seen.assign(nsegs, 0);
+  total = nsegs;
+  received = 0;
+  seg_len = 0;
+  tail_waiting = false;
+}
+
+void WtpEndpoint::Reassembly::retire() {
+  sim::detail::arena_poison(buf.data(), buf.size());
+}
+
+void WtpEndpoint::Reassembly::place_last(sim::Slice body) {
+  const std::size_t at = static_cast<std::size_t>(total - 1) * seg_len;
+  buf.resize(at + body.size());
+  std::memcpy(buf.data() + at, body.data(), body.size());
+}
+
 void WtpEndpoint::Reassembly::add(std::uint32_t seg, sim::Slice body) {
-  if (segments.empty() && total > 0) {
-    segments.resize(total);
-    seen.resize(total);
+  if (seg >= total || seen[seg]) return;  // malformed / duplicate
+  if (seg + 1 < total) {
+    if (seg_len == 0) {
+      // The first full segment fixes every offset.
+      seg_len = body.size();
+      buf.resize(static_cast<std::size_t>(total - 1) * seg_len);
+      if (tail_waiting) {
+        place_last(tail);
+        tail_waiting = false;
+      }
+    } else if (body.size() != seg_len) {
+      return;  // malformed: full segments are all one length
+    }
+    std::memcpy(buf.data() + seg * seg_len, body.data(), body.size());
+  } else if (total == 1 || seg_len != 0) {
+    place_last(body);
+  } else {
+    tail.assign(body.data(), body.size());
+    tail_waiting = true;
   }
-  if (seg >= segments.size() || seen[seg]) return;  // malformed / duplicate
   seen[seg] = 1;
   ++received;
-  segments[seg].assign(body.data(), body.size());
   MCS_INVARIANT(received <= total,
                 "reassembly cannot hold more segments than were announced");
 }
 
-std::string WtpEndpoint::Reassembly::assemble() const {
-  std::size_t n = 0;
-  for (const auto& s : segments) n += s.size();
-  return sim::build(n, [this](std::string& out) {
-    for (const auto& s : segments) out += s;
-  });
+// ---------------------------------------------------------------------------
+// Responder
+
+std::string& WtpEndpoint::Responder::result() const {
+  MCS_ASSERT(pending(),
+             "a WTP result is written once, before its transaction is "
+             "answered or recycled");
+  txn_->result.clear();
+  return txn_->result;
 }
+
+void WtpEndpoint::Responder::send() const {
+  if (pending()) txn_->owner->respond(*txn_);
+}
+
+void WtpEndpoint::Responder::operator()(sim::Slice bytes) const {
+  if (!pending()) return;
+  result().assign(bytes.data(), bytes.size());
+  send();
+}
+
+bool WtpEndpoint::Responder::pending() const {
+  return txn_ != nullptr && txn_->gen == gen_ && !txn_->responded;
+}
+
+// ---------------------------------------------------------------------------
+// WtpEndpoint
 
 WtpEndpoint::WtpEndpoint(transport::UdpStack& udp, std::uint16_t port,
                          WtpConfig cfg)
@@ -50,46 +114,60 @@ WtpEndpoint::WtpEndpoint(transport::UdpStack& udp, std::uint16_t port,
   // Seed the tid space from the node address so tids are globally distinct
   // (useful in traces; correctness relies on the per-endpoint keying).
   next_tid_ = (static_cast<std::uint64_t>(udp_.node().addr().v) << 20) + 1;
-  udp_.bind(port_, [this](const std::string& data, net::Endpoint from,
-                          std::uint16_t) { on_datagram(data, from); });
+  udp_.bind(port_, [this](std::string& data, net::Endpoint from,
+                          std::uint16_t) {
+    on_datagram(sim::MutSlice{data.data(), data.size()}, from);
+  });
 }
 
 void WtpEndpoint::send_segments(net::Endpoint to, const char* kind,
-                                std::uint64_t tid, const std::string& payload) {
+                                std::uint64_t tid, sim::Slice payload) {
   const std::size_t nsegs =
       payload.empty() ? 1 : (payload.size() + cfg_.mtu - 1) / cfg_.mtu;
   for (std::size_t seg = 0; seg < nsegs; ++seg) {
     const std::size_t off = seg * cfg_.mtu;
     const std::size_t len = std::min(cfg_.mtu, payload.size() - off);
-    // One right-sized allocation per datagram; the UDP stack takes
-    // ownership of the frame bytes (same bytes as
-    // strf("%s %llu %zu %zu\n") + the payload window).
-    auto frame = sim::build(0, [&](std::string& out) {
-      sim::BufWriter w{out};
-      w.need(48 + len);
-      w.put(kind).ch(' ').u64(tid).ch(' ').u64(seg).ch(' ').u64(nsegs).ch(
-          '\n');
-      w.put(sim::Slice{payload.data() + off, len});
-    });
+    // "<kind> <tid> <seg> <nsegs>\n" + the payload window, built in the
+    // endpoint's frame buffer; the UDP stack copies it into the packet.
+    frame_.clear();
+    sim::BufWriter w{frame_};
+    w.put(kind).ch(' ').u64(tid).ch(' ').u64(seg).ch(' ').u64(nsegs).ch('\n');
+    w.put(payload.substr(off, len));
     stats_.counter("datagrams_sent").add();
-    stats_.counter("bytes_sent").add(frame.size());
-    udp_.send(to, port_, frame);
+    stats_.counter("bytes_sent").add(frame_.size());
+    udp_.send(to, port_, frame_);
   }
 }
 
-void WtpEndpoint::invoke(net::Endpoint responder, std::string&& payload,
-                         ResultCallback cb) {
+void WtpEndpoint::send_ack(net::Endpoint to, std::uint64_t tid) {
+  const sim::NumStr id = sim::u64s(tid);
+  char ack[4 + sizeof id.buf + 1] = "ACK ";
+  std::memcpy(ack + 4, id.buf, id.len);
+  ack[4 + id.len] = '\n';
+  udp_.send(to, port_, sim::Slice{ack, 5u + id.len});
+}
+
+WtpEndpoint::OutgoingTxn& WtpEndpoint::open_txn(net::Endpoint responder,
+                                                ResultCallback&& cb) {
   const std::uint64_t tid = next_tid_++;
   MCS_ASSERT(!outgoing_.contains(tid),
              "WTP transaction id reused while still outstanding");
-  OutgoingTxn& txn = outgoing_[tid];
-  txn.responder = responder;
-  txn.payload = std::move(payload);
-  txn.cb = std::move(cb);
-  txn.ctx = obs::active_context();
+  OutgoingTxn* txn = &spare_outgoing_.insert(outgoing_, tid);
+  txn->tid = tid;
+  txn->responder = responder;
+  txn->payload.clear();
+  txn->cb = std::move(cb);
+  txn->result.total = 0;
+  txn->retries = 0;
+  txn->timer = sim::kInvalidEventId;
+  txn->ctx = obs::active_context();
   stats_.counter("invokes").add();
-  send_segments(responder, "INV", tid, txn.payload);
-  arm_retry(tid);
+  return *txn;
+}
+
+void WtpEndpoint::start_txn(OutgoingTxn& txn) {
+  send_segments(txn.responder, "INV", txn.tid, txn.payload);
+  arm_retry(txn.tid);
 }
 
 void WtpEndpoint::arm_retry(std::uint64_t tid) {
@@ -97,12 +175,12 @@ void WtpEndpoint::arm_retry(std::uint64_t tid) {
   if (it == outgoing_.end()) return;
   it->second.timer = udp_.node().sim().after(cfg_.retry_interval, [this, tid] {
     auto tit = outgoing_.find(tid);
-    if (tit == outgoing_.end() || tit->second.done) return;
+    if (tit == outgoing_.end()) return;
     OutgoingTxn& txn = tit->second;
     txn.timer = sim::kInvalidEventId;
     if (++txn.retries > cfg_.max_retries) {
       stats_.counter("transactions_failed").add();
-      finish(tid, std::nullopt);
+      finish(tit, std::nullopt);
       return;
     }
     MCS_INVARIANT(txn.retries <= cfg_.max_retries,
@@ -116,25 +194,64 @@ void WtpEndpoint::arm_retry(std::uint64_t tid) {
   });
 }
 
-void WtpEndpoint::finish(std::uint64_t tid,
-                         std::optional<std::string>&& result) {
-  auto it = outgoing_.find(tid);
-  if (it == outgoing_.end() || it->second.done) return;
-  it->second.done = true;
+void WtpEndpoint::finish(OutgoingMap::iterator it,
+                         std::optional<sim::MutSlice> result) {
   if (it->second.timer != sim::kInvalidEventId) {
     udp_.node().sim().cancel(it->second.timer);
   }
-  ResultCallback cb = std::move(it->second.cb);
-  outgoing_.erase(it);
-  if (cb) cb(std::move(result));
+  // Out of the map before the callback (which may start the next
+  // transaction), but not recycled until it returns: `result` may be a view
+  // into this node's reassembly buffer.
+  OutgoingMap::node_type node = outgoing_.extract(it);
+  OutgoingTxn& txn = node.mapped();
+  if (txn.cb) txn.cb(result);
+  txn.cb = nullptr;
+  txn.result.retire();
+  spare_outgoing_.park(std::move(node));
 }
 
-void WtpEndpoint::on_datagram(const std::string& data, net::Endpoint from) {
+WtpEndpoint::ResponderTxn& WtpEndpoint::responder_txn(const RespKey& key) {
+  if (auto it = responding_.find(key); it != responding_.end()) {
+    return it->second;
+  }
+  ResponderTxn* txn = &spare_responding_.insert(responding_, key);
+  txn->owner = this;
+  txn->key = key;
+  txn->invoke.total = 0;
+  txn->result.clear();
+  txn->responded = false;
+  txn->handled = false;
+  txn->expiry = sim::kInvalidEventId;
+  return *txn;
+}
+
+void WtpEndpoint::release(RespMap::iterator it) {
+  ++it->second.gen;
+  it->second.invoke.retire();
+  spare_responding_.park(responding_.extract(it));
+}
+
+void WtpEndpoint::respond(ResponderTxn& txn) {
+  txn.responded = true;
+  MCS_INVARIANT(txn.handled,
+                "WTP responder answered an invoke it never handled");
+  send_segments(txn.key.from, "RES", txn.key.tid, txn.result);
+  // Drop cached state after the TTL even if the ACK is lost.
+  txn.expiry = udp_.node().sim().after(
+      cfg_.responder_cache_ttl, [this, key = txn.key] {
+        if (auto it = responding_.find(key); it != responding_.end()) {
+          release(it);
+        }
+      });
+}
+
+void WtpEndpoint::on_datagram(sim::MutSlice data, net::Endpoint from) {
   stats_.counter("datagrams_received").add();
-  const std::size_t nl = data.find('\n');
-  if (nl == std::string::npos) return;
-  const sim::Slice head{data.data(), nl};
-  const sim::Slice body{data.data() + nl + 1, data.size() - nl - 1};
+  const sim::Slice bytes = sim::as_slice(data);
+  const std::size_t nl = bytes.find('\n');
+  if (nl == sim::Slice::npos) return;
+  const sim::Slice head = bytes.substr(0, nl);
+  const sim::MutSlice body = data.subspan(nl + 1);
 
   // Split the header on ' ' exactly as sim::split would (empty fields
   // count toward the field total) without materializing the field vector.
@@ -143,7 +260,7 @@ void WtpEndpoint::on_datagram(const std::string& data, net::Endpoint from) {
   std::size_t start = 0;
   for (std::size_t i = 0; i <= head.size(); ++i) {
     if (i == head.size() || head[i] == ' ') {
-      if (nf < 4) f[nf] = sim::Slice{head.data() + start, i - start};
+      if (nf < 4) f[nf] = head.substr(start, i - start);
       ++nf;
       start = i + 1;
     }
@@ -153,34 +270,27 @@ void WtpEndpoint::on_datagram(const std::string& data, net::Endpoint from) {
     const std::uint64_t tid = parse_u64(f[1]);
     const auto seg = static_cast<std::uint32_t>(parse_u64(f[2]));
     const auto total = static_cast<std::uint32_t>(parse_u64(f[3]));
-    const RespKey key{from, tid};
-    ResponderTxn& txn = responding_[key];
+    ResponderTxn& txn = responder_txn(RespKey{from, tid});
     if (txn.responded) {
       // Duplicate invoke after we answered: retransmit the cached result.
       stats_.counter("result_retransmissions").add();
-      send_segments(from, "RES", tid, txn.cached_result);
+      send_segments(from, "RES", tid, txn.result);
       return;
     }
-    txn.invoke.total = total;
-    txn.invoke.add(seg, body);
-    if (!txn.invoke.complete() || txn.handled) return;
+    if (txn.handled) return;
+    sim::MutSlice payload = body;
+    const bool single = total == 1 && seg == 0 && !txn.invoke.started();
+    if (!single) {
+      if (!txn.invoke.started()) txn.invoke.reset(total);
+      txn.invoke.add(seg, sim::as_slice(body));
+      if (!txn.invoke.complete()) return;
+      payload = txn.invoke.message();
+    }
     txn.handled = true;
     if (!on_invoke) return;
-    const auto payload = txn.invoke.assemble();
     stats_.counter("invokes_handled").add();
-    on_invoke(payload, from, [this, key, from](std::string&& result) {
-      auto rit = responding_.find(key);
-      if (rit == responding_.end() || rit->second.responded) return;
-      rit->second.responded = true;
-      MCS_INVARIANT(rit->second.handled,
-                    "WTP responder answered an invoke it never handled");
-      rit->second.cached_result = std::move(result);
-      send_segments(from, "RES", key.tid, rit->second.cached_result);
-      // Drop cached state after the TTL even if the ACK is lost.
-      rit->second.expiry =
-          udp_.node().sim().after(cfg_.responder_cache_ttl,
-                                  [this, key] { responding_.erase(key); });
-    });
+    on_invoke(payload, from, Responder{&txn, txn.gen});
+    if (!single) txn.invoke.retire();
     return;
   }
   if (f[0] == "RES" && nf == 4) {
@@ -188,31 +298,32 @@ void WtpEndpoint::on_datagram(const std::string& data, net::Endpoint from) {
     auto it = outgoing_.find(tid);
     if (it == outgoing_.end()) {
       // Late duplicate: ack so the responder stops retransmitting.
-      udp_.send(from, port_, sim::cat("ACK ", sim::u64s(tid), "\n"));
+      send_ack(from, tid);
       return;
     }
-    OutgoingTxn& txn = it->second;
+    Reassembly& result = it->second.result;
     const auto seg = static_cast<std::uint32_t>(parse_u64(f[2]));
     const auto total = static_cast<std::uint32_t>(parse_u64(f[3]));
-    txn.result.total = total;
-    txn.result.add(seg, body);
-    if (!txn.result.complete()) return;
-    MCS_INVARIANT(txn.result.received == txn.result.total,
-                  "WTP reassembly completed with a segment-count mismatch");
-    udp_.send(from, port_, sim::cat("ACK ", sim::u64s(tid), "\n"));
+    sim::MutSlice message = body;
+    if (total != 1 || seg != 0 || result.started()) {
+      if (!result.started()) result.reset(total);
+      result.add(seg, sim::as_slice(body));
+      if (!result.complete()) return;
+      message = result.message();
+    }
+    send_ack(from, tid);
     stats_.counter("transactions_completed").add();
-    finish(tid, txn.result.assemble());
+    finish(it, message);
     return;
   }
   if (f[0] == "ACK" && nf == 2) {
     const std::uint64_t tid = parse_u64(f[1]);
-    const RespKey key{from, tid};
-    auto rit = responding_.find(key);
+    auto rit = responding_.find(RespKey{from, tid});
     if (rit != responding_.end()) {
       if (rit->second.expiry != sim::kInvalidEventId) {
         udp_.node().sim().cancel(rit->second.expiry);
       }
-      responding_.erase(rit);
+      release(rit);
     }
     return;
   }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -7,9 +8,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/arena.h"
-
 #include "obs/trace.h"
+#include "sim/arena.h"
+#include "sim/contract.h"
+#include "sim/pool.h"
 #include "sim/stats.h"
 #include "transport/udp.h"
 
@@ -24,6 +26,13 @@ namespace mcs::middleware {
 //   "INV <tid> <seg> <nsegs>\n" <bytes>     initiator -> responder
 //   "RES <tid> <seg> <nsegs>\n" <bytes>     responder -> initiator
 //   "ACK <tid>\n"                           initiator -> responder
+//
+// Buffers (DESIGN.md §12.2): a transaction's payload, its result and its
+// reassembly live in the transaction's map node, and nodes are recycled
+// with their buffers, so a warm endpoint allocates nothing per transaction.
+// Messages reach callbacks as writable views, valid until the callback
+// returns: a single-segment message is a view into the received datagram,
+// a multi-segment one a view into the reassembly buffer.
 struct WtpConfig {
   sim::Time retry_interval = sim::Time::millis(800);
   int max_retries = 6;
@@ -32,13 +41,39 @@ struct WtpConfig {
 };
 
 class WtpEndpoint {
+  struct ResponderTxn;
+
  public:
-  // Responder role: handle a complete invoke, answer via `respond` (once).
+  // Answers one invoke. A trivially copyable 16-byte handle, so storing it
+  // in a std::function uses the inline buffer. Answer once, while the
+  // endpoint lives; a second answer is ignored.
+  class Responder {
+   public:
+    Responder() = default;
+    // The transaction's result buffer, emptied: append the result, then
+    // send(). The buffer is kept for retransmission until the ACK.
+    std::string& result() const;
+    void send() const;
+    // Copy `bytes` into the result buffer and send it.
+    void operator()(sim::Slice bytes) const;
+
+   private:
+    friend class WtpEndpoint;
+    // False once the transaction has been answered (or recycled).
+    bool pending() const;
+    Responder(ResponderTxn* txn, std::uint32_t gen) : txn_{txn}, gen_{gen} {}
+    ResponderTxn* txn_ = nullptr;
+    std::uint32_t gen_ = 0;
+  };
+
+  // Responder role: handle a complete invoke; `payload` is valid only
+  // during the call, and may be rewritten in place.
   using InvokeHandler = std::function<void(
-      const std::string& payload, net::Endpoint from,
-      std::function<void(std::string)> respond)>;
-  // Initiator role: completion callback (nullopt = transaction failed).
-  using ResultCallback = std::function<void(std::optional<std::string>)>;
+      sim::MutSlice payload, net::Endpoint from, Responder respond)>;
+  // Initiator role: completion callback (nullopt = transaction failed). The
+  // result is valid only during the call, and may be rewritten in place.
+  using ResultCallback =
+      std::function<void(std::optional<sim::MutSlice> result)>;
 
   WtpEndpoint(transport::UdpStack& udp, std::uint16_t port,
               WtpConfig cfg = {});
@@ -47,61 +82,74 @@ class WtpEndpoint {
 
   InvokeHandler on_invoke;
 
-  // Run one transaction against a remote responder. Takes the payload by
-  // rvalue so the per-transaction copy is explicit at call sites
-  // (DESIGN.md §12).
-  void invoke(net::Endpoint responder, std::string&& payload,
-              ResultCallback cb);
+  // Run one transaction against a remote responder. `fill(sim::BufWriter&)`
+  // writes the payload straight into the transaction's own buffer, which is
+  // kept for retransmission.
+  template <typename Fill>
+    requires std::invocable<Fill&, sim::BufWriter&>
+  void invoke(net::Endpoint responder, Fill&& fill, ResultCallback cb) {
+    MCS_ASSERT(cb != nullptr, "a WTP invoke needs a completion callback");
+    OutgoingTxn& txn = open_txn(responder, std::move(cb));
+    sim::BufWriter w{txn.payload};
+    fill(w);
+    start_txn(txn);
+  }
+  // Copy `payload` into the transaction's buffer.
+  void invoke(net::Endpoint responder, sim::Slice payload, ResultCallback cb) {
+    MCS_ASSERT(cb != nullptr, "a WTP invoke needs a completion callback");
+    invoke(
+        responder, [payload](sim::BufWriter& w) { w.put(payload); },
+        std::move(cb));
+  }
 
   sim::StatsRegistry& stats() { return stats_; }
   const sim::StatsRegistry& stats() const { return stats_; }
   std::uint16_t port() const { return port_; }
 
  private:
-  // Segment buffers are preallocated to the announced count on the first
-  // frame, so out-of-order arrival is a slot assignment, not map growth.
-  // Peers are other WtpEndpoints, so frames are well-formed by construction;
-  // a segment index past the announced count is dropped.
+  // Multi-segment messages land in one buffer sized from the first frame's
+  // segment count and the length of a full segment (every segment but the
+  // last is full). A last segment that arrives before any full one waits in
+  // `tail` until the offset is known. Peers are other WtpEndpoints, so
+  // frames are well-formed by construction; a segment index past the
+  // announced count is dropped. Both buffers keep their capacity across
+  // transactions.
   struct Reassembly {
-    std::vector<std::string> segments;  // sized to `total` on first frame
-    std::vector<std::uint8_t> seen;     // received flags (duplicates ignored)
+    std::string buf;
+    std::string tail;
+    std::vector<std::uint8_t> seen;  // received flags (duplicates ignored)
     std::uint32_t total = 0;
     std::uint32_t received = 0;
+    std::size_t seg_len = 0;  // length of a full segment, 0 = unknown
+    bool tail_waiting = false;
+    Reassembly() = default;
+    Reassembly(const Reassembly&) = delete;
+    Reassembly& operator=(const Reassembly&) = delete;
+    ~Reassembly();
+    bool started() const { return total > 0; }
     bool complete() const { return total > 0 && received == total; }
+    void reset(std::uint32_t nsegs);
     void add(std::uint32_t seg, sim::Slice body);
-    std::string assemble() const;
+    sim::MutSlice message() { return sim::MutSlice{buf.data(), buf.size()}; }
+    // The message's callback has returned: under ASan the bytes are
+    // poisoned until reset(), so a view kept past the callback traps.
+    void retire();
+
+   private:
+    void place_last(sim::Slice body);
   };
   struct OutgoingTxn {  // initiator side
+    std::uint64_t tid = 0;
     net::Endpoint responder;
     std::string payload;
     ResultCallback cb;
     Reassembly result;
     int retries = 0;
     sim::EventId timer = sim::kInvalidEventId;
-    bool done = false;
     // Span the invoke was issued under; retransmitted segments re-enter it
     // so their wire time attributes to the same trace.
     obs::TraceContext ctx;
   };
-  struct ResponderTxn {  // responder side
-    Reassembly invoke;
-    std::string cached_result;  // retransmitted until ACK or TTL
-    bool responded = false;
-    bool handled = false;
-    sim::EventId expiry = sim::kInvalidEventId;
-  };
-
-  void on_datagram(const std::string& data, net::Endpoint from);
-  void send_segments(net::Endpoint to, const char* kind, std::uint64_t tid,
-                     const std::string& payload);
-  void arm_retry(std::uint64_t tid);
-  void finish(std::uint64_t tid, std::optional<std::string>&& result);
-
-  transport::UdpStack& udp_;
-  std::uint16_t port_ = 0;
-  WtpConfig cfg_;
-  std::uint64_t next_tid_ = 0;
-  std::unordered_map<std::uint64_t, OutgoingTxn> outgoing_;
   // Keyed by (initiator endpoint, tid) so tids from different phones never
   // collide at a shared gateway.
   struct RespKey {
@@ -115,7 +163,41 @@ class WtpEndpoint {
              std::hash<std::uint64_t>{}(k.tid);
     }
   };
-  std::unordered_map<RespKey, ResponderTxn, RespKeyHash> responding_;
+  struct ResponderTxn {  // responder side
+    WtpEndpoint* owner = nullptr;
+    RespKey key;
+    Reassembly invoke;
+    std::string result;  // retransmitted until ACK or TTL
+    std::uint32_t gen = 0;  // bumped on recycle: stale Responders are inert
+    bool responded = false;
+    bool handled = false;
+    sim::EventId expiry = sim::kInvalidEventId;
+  };
+  using OutgoingMap = std::unordered_map<std::uint64_t, OutgoingTxn>;
+  using RespMap = std::unordered_map<RespKey, ResponderTxn, RespKeyHash>;
+
+  OutgoingTxn& open_txn(net::Endpoint responder, ResultCallback&& cb);
+  void start_txn(OutgoingTxn& txn);
+  ResponderTxn& responder_txn(const RespKey& key);
+  void release(RespMap::iterator it);
+  void on_datagram(sim::MutSlice data, net::Endpoint from);
+  void send_segments(net::Endpoint to, const char* kind, std::uint64_t tid,
+                     sim::Slice payload);
+  void send_ack(net::Endpoint to, std::uint64_t tid);
+  void respond(ResponderTxn& txn);
+  void arm_retry(std::uint64_t tid);
+  void finish(OutgoingMap::iterator it, std::optional<sim::MutSlice> result);
+
+  transport::UdpStack& udp_;
+  std::uint16_t port_ = 0;
+  WtpConfig cfg_;
+  std::uint64_t next_tid_ = 0;
+  OutgoingMap outgoing_;
+  RespMap responding_;
+  // Finished transactions' nodes, kept with their buffers for reuse.
+  sim::NodeRecycler<OutgoingMap> spare_outgoing_;
+  sim::NodeRecycler<RespMap> spare_responding_;
+  std::string frame_;  // every outgoing frame is built here
   sim::StatsRegistry stats_;
 };
 

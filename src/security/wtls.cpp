@@ -1,11 +1,13 @@
 #include "security/wtls.h"
 
+#include <bit>
+#include <cstring>
+
 #include "sim/arena.h"
+#include "sim/contract.h"
 #include "sim/util.h"
 
 namespace mcs::security {
-
-using sim::strf;
 
 std::uint64_t mod_pow(std::uint64_t base, std::uint64_t exp,
                       std::uint64_t mod) {
@@ -73,10 +75,9 @@ std::size_t split_fields(std::string_view s, std::string_view* f,
   return nf;
 }
 
-// Keyed-xorshift stream generated a word at a time: the zero-copy
-// counterpart of the old materialized keystream string, emitting the exact
-// same byte sequence (state advances every 8 bytes; bytes are the word's
-// little-end first).
+// Keyed-xorshift stream: the state advances once per 8 bytes, and the bytes
+// of each state word are used little-end first. apply() XORs whole words and
+// then the tail, so the output equals a byte-at-a-time generator's.
 class Keystream {
  public:
   Keystream(std::uint64_t secret, std::uint64_t nonce, int sender_role)
@@ -84,28 +85,48 @@ class Keystream {
                (static_cast<std::uint64_t>(sender_role) << 62) ^
                0xD1B54A32D192ED03ull} {}
 
-  char next() {
-    if (byte_ == 0) {
-      state_ ^= state_ << 13;
-      state_ ^= state_ >> 7;
-      state_ ^= state_ << 17;
+  // XOR the stream into `p[0..n)`; called once per record.
+  void apply(char* p, std::size_t n) {
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      const std::uint64_t k = step();
+      if constexpr (std::endian::native == std::endian::little) {
+        std::uint64_t w;
+        std::memcpy(&w, p + i, 8);
+        w ^= k;
+        std::memcpy(p + i, &w, 8);
+      } else {
+        xor_bytes(p + i, 8, k);
+      }
     }
-    const char c = static_cast<char>((state_ >> (8 * byte_)) & 0xFF);
-    byte_ = (byte_ + 1) & 7;
-    return c;
+    if (i < n) xor_bytes(p + i, n - i, step());
   }
 
  private:
+  std::uint64_t step() {
+    state_ ^= state_ << 13;
+    state_ ^= state_ >> 7;
+    state_ ^= state_ << 17;
+    return state_;
+  }
+  static void xor_bytes(char* p, std::size_t n, std::uint64_t k) {
+    for (std::size_t b = 0; b < n; ++b) {
+      p[b] = static_cast<char>(p[b] ^ static_cast<char>((k >> (8 * b)) & 0xFF));
+    }
+  }
+
   std::uint64_t state_;
-  int byte_ = 0;
 };
+
+std::uint64_t mac_key(std::uint64_t secret, int role) {
+  return secret ^ static_cast<std::uint64_t>(role + 1);
+}
 
 }  // namespace
 
 std::string Certificate::encode() const {
-  return strf("CERT %s %llu %llu", subject.c_str(),
-              static_cast<unsigned long long>(public_key),
-              static_cast<unsigned long long>(signature));
+  return sim::cat("CERT ", subject, " ", sim::u64s(public_key), " ",
+                  sim::u64s(signature));
 }
 
 std::optional<Certificate> Certificate::decode(std::string_view s) {
@@ -140,62 +161,70 @@ bool verify_certificate(const Certificate& cert, std::uint64_t ca_key) {
 SecureChannel::SecureChannel(std::uint64_t shared_secret, int sender_role)
     : secret_{shared_secret}, role_{sender_role} {}
 
-std::string SecureChannel::seal(std::string_view plaintext) {
-  const std::uint32_t seq = send_seq_++;
-  return sim::build(plaintext.size() + kOverheadBytes, [&](std::string& out) {
-    sim::BufWriter w{out};
-    w.ch(static_cast<char>(seq >> 24))
-        .ch(static_cast<char>(seq >> 16))
-        .ch(static_cast<char>(seq >> 8))
-        .ch(static_cast<char>(seq));
-    Keystream ks{secret_, seq, role_};
-    for (const char c : plaintext) {
-      w.ch(static_cast<char>(c ^ ks.next()));
-    }
-    const std::uint64_t mac = keyed_mac(
-        secret_ ^ static_cast<std::uint64_t>(role_ + 1), w.view());
-    for (int i = 7; i >= 0; --i) {
-      w.ch(static_cast<char>((mac >> (8 * i)) & 0xFF));
-    }
-  });
+void SecureChannel::seal(sim::Slice plaintext, sim::BufWriter& out) {
+  out.need(plaintext.size() + kOverheadBytes);
+  const std::size_t at = begin_seal(out);
+  out.put(plaintext);
+  end_seal(out, at);
 }
 
-std::optional<std::string> SecureChannel::open(std::string_view sealed) {
-  if (sealed.size() < kOverheadBytes) {
+std::size_t SecureChannel::begin_seal(sim::BufWriter& out) {
+  const std::size_t at = out.size();
+  const std::uint32_t seq = send_seq_++;
+  out.ch(static_cast<char>(seq >> 24))
+      .ch(static_cast<char>(seq >> 16))
+      .ch(static_cast<char>(seq >> 8))
+      .ch(static_cast<char>(seq));
+  return at;
+}
+
+void SecureChannel::end_seal(sim::BufWriter& out, std::size_t record) {
+  MCS_ASSERT(record + 4 <= out.size(),
+             "end_seal needs the record begin_seal started in this buffer");
+  std::string& buf = out.str();
+  std::uint32_t seq = 0;
+  for (std::size_t i = record; i < record + 4; ++i) {
+    seq = (seq << 8) | static_cast<std::uint8_t>(buf[i]);
+  }
+  Keystream{secret_, seq, role_}.apply(buf.data() + record + 4,
+                                       buf.size() - record - 4);
+  const std::uint64_t mac = keyed_mac(
+      mac_key(secret_, role_),
+      std::string_view{buf.data() + record, buf.size() - record});
+  for (int i = 7; i >= 0; --i) {
+    out.ch(static_cast<char>((mac >> (8 * i)) & 0xFF));
+  }
+}
+
+std::optional<sim::Slice> SecureChannel::open(sim::MutSlice record) {
+  if (record.size() < kOverheadBytes) {
     ++bad_macs_;
     return std::nullopt;
   }
-  const std::string_view macd{sealed.data(), sealed.size() - 8};
+  const std::size_t macd = record.size() - 8;
   std::uint64_t mac = 0;
-  for (std::size_t i = sealed.size() - 8; i < sealed.size(); ++i) {
-    mac = (mac << 8) | static_cast<std::uint8_t>(sealed[i]);
+  for (std::size_t i = macd; i < record.size(); ++i) {
+    mac = (mac << 8) | static_cast<std::uint8_t>(record[i]);
   }
   // The peer sealed with the opposite role.
   const int peer_role = 1 - role_;
-  if (mac != keyed_mac(secret_ ^ static_cast<std::uint64_t>(peer_role + 1),
-                       macd)) {
+  if (mac != keyed_mac(mac_key(secret_, peer_role),
+                       std::string_view{record.data(), macd})) {
     ++bad_macs_;
     return std::nullopt;
   }
   std::uint32_t seq = 0;
-  for (int i = 0; i < 4; ++i) {
-    seq = (seq << 8) | static_cast<std::uint8_t>(macd[static_cast<std::size_t>(i)]);
+  for (std::size_t i = 0; i < 4; ++i) {
+    seq = (seq << 8) | static_cast<std::uint8_t>(record[i]);
   }
   if (seq < recv_next_) {
     ++replays_;
     return std::nullopt;
   }
   recv_next_ = seq + 1;
-  const std::string_view body{macd.data() + 4, macd.size() - 4};
-  // Decrypt with the PEER's sending keystream, straight into the one
-  // right-sized plaintext allocation.
-  return sim::build(body.size(), [&](std::string& out) {
-    sim::BufWriter w{out};
-    Keystream ks{secret_, seq, peer_role};
-    for (const char c : body) {
-      w.ch(static_cast<char>(c ^ ks.next()));
-    }
-  });
+  // Decrypt in place with the PEER's sending keystream.
+  Keystream{secret_, seq, peer_role}.apply(record.data() + 4, macd - 4);
+  return sim::Slice{record.data() + 4, macd - 4};
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 
+#include "sim/arena.h"
 #include "sim/random.h"
 
 namespace mcs::security {
@@ -58,12 +59,19 @@ class SecureChannel {
   // server=1) so the two sides never reuse a keystream.
   SecureChannel(std::uint64_t shared_secret, int sender_role);
 
-  // View parameters: callers pass windows of transport buffers without
-  // materializing substrings (DESIGN.md §12). The keystream is generated a
-  // word at a time and XORed straight into the one right-sized output
-  // allocation — no keystream or intermediate body strings.
-  std::string seal(std::string_view plaintext);
-  std::optional<std::string> open(std::string_view sealed);
+  // A record is seq(4) || ciphertext || mac(8), built and opened where it
+  // lies (DESIGN.md §12.2). seal() appends the record for `plaintext` to
+  // `out`. When the plaintext is itself being serialized, bracket that
+  // serialization instead, so it is written once, straight into the record:
+  //   const std::size_t at = ch.begin_seal(out);
+  //   ... append the plaintext to out ...
+  //   ch.end_seal(out, at);
+  void seal(sim::Slice plaintext, sim::BufWriter& out);
+  std::size_t begin_seal(sim::BufWriter& out);
+  void end_seal(sim::BufWriter& out, std::size_t record);
+  // Verifies `record` and decrypts it in place. The plaintext is a view into
+  // `record`; nullopt (bytes untouched) on tampering, truncation or replay.
+  std::optional<sim::Slice> open(sim::MutSlice record);
 
   static constexpr std::size_t kOverheadBytes = 12;  // seq(4) + mac(8)
   std::uint32_t messages_sealed() const { return send_seq_; }

@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -95,6 +96,11 @@ inline void arena_unpoison(const void* p, std::size_t n) {
 
 // Non-owning byte range: the currency between protocol pipeline stages.
 using Slice = std::string_view;
+// Writable view: the owner lends its bytes for an in-place rewrite (a WTLS
+// record is decrypted where it landed). Valid for as long as a Slice of the
+// same buffer would be.
+using MutSlice = std::span<char>;
+inline Slice as_slice(MutSlice s) { return Slice{s.data(), s.size()}; }
 
 // ---------------------------------------------------------------------------
 // Arena: chunked bump allocator, thread-confined like RecyclingPool.

@@ -2,10 +2,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <new>
 #include <vector>
 
+#include "sim/contract.h"
 #include "sim/threading.h"
 
 namespace mcs::sim {
@@ -78,6 +80,79 @@ class RecyclingPool {
   std::uint64_t fresh_ = 0;
   std::uint64_t reused_ = 0;
   ThreadConfinementChecker confinement_;
+};
+
+// Recycled T objects addressed by index, for per-request or per-frame state
+// that callbacks reach through a small handle ([this, slot] fits every inline
+// callback buffer). acquire() returns a recycled slot, or a new one;
+// release() takes it back, with its buffers' capacity. Unlike RecyclingPool
+// the pool owns every object it made, handed out or not, so state still in
+// flight when its owner is destroyed is freed with it. References stay valid
+// until release(). The caller resets a recycled object's state.
+template <typename T>
+class SlotPool {
+ public:
+  std::uint32_t acquire() {
+    if (free_ == kNone) {
+      slots_.emplace_back();
+      return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+    const std::uint32_t slot = free_;
+    free_ = slots_[slot].next_free;
+    return slot;
+  }
+
+  void release(std::uint32_t slot) {
+    MCS_ASSERT(slot < slots_.size(), "SlotPool::release() of a foreign slot");
+    slots_[slot].next_free = free_;
+    free_ = slot;
+  }
+
+  T& operator[](std::uint32_t slot) { return slots_[slot].value; }
+
+ private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  struct Slot {
+    T value;
+    std::uint32_t next_free = kNone;
+  };
+  std::deque<Slot> slots_;  // stable addresses
+  std::uint32_t free_ = kNone;
+};
+
+// Recycles the nodes of a node-based map (std::unordered_map, std::map):
+// the caller extract()s a finished entry and parks it here, and insert()
+// reuses a parked node, with the mapped value's buffers, for the next key.
+// A map whose size cycles stops allocating once it has reached its
+// high-water mark. The caller resets a reused value's state; its strings and
+// vectors keep their capacity.
+template <typename Map>
+class NodeRecycler {
+ public:
+  using node_type = typename Map::node_type;
+
+  // Insert `key`, which must be absent, and return its value: a parked
+  // node's (state left as it was) or a value-initialized one.
+  typename Map::mapped_type& insert(Map& map,
+                                    const typename Map::key_type& key) {
+    if (spare_.empty()) {
+      auto [it, fresh] = map.try_emplace(key);
+      MCS_ASSERT(fresh, "NodeRecycler::insert() of a key already present");
+      return it->second;
+    }
+    node_type node = std::move(spare_.back());
+    spare_.pop_back();
+    node.key() = key;
+    auto result = map.insert(std::move(node));
+    MCS_ASSERT(result.inserted,
+               "NodeRecycler::insert() of a key already present");
+    return result.position->second;
+  }
+
+  void park(node_type&& node) { spare_.push_back(std::move(node)); }
+
+ private:
+  std::vector<node_type> spare_;
 };
 
 // Rebindable allocator backed by a per-type, per-thread free list of

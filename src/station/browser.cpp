@@ -28,60 +28,81 @@ MicroBrowser::MicroBrowser(net::Node& station, DeviceProfile device,
   }
 }
 
+void MicroBrowser::complete(std::uint32_t slot) {
+  Fetch& f = fetches_[slot];
+  obs::end_span(f.page, station_.sim().now());
+  obs::metric_record(m_page_us_,
+                     (station_.sim().now() - f.started).to_micros());
+  PageCallback cb = std::move(f.cb);
+  PageResult r = std::move(f.result);
+  f.cb = nullptr;
+  fetches_.release(slot);
+  cb(std::move(r));
+}
+
+void MicroBrowser::fail(std::uint32_t slot) {
+  Fetch& f = fetches_[slot];
+  f.result = PageResult{};
+  f.result.total_time = station_.sim().now() - f.sent;
+  complete(slot);
+}
+
 void MicroBrowser::browse(const std::string& url, PageCallback cb) {
   const sim::Time started = station_.sim().now();
   stats_.counter("page_requests").add();
   obs::metric_add(m_browses_);
 
+  const std::uint32_t slot = fetches_.acquire();
+  Fetch& f = fetches_[slot];
+  f.url.assign(url);
+  f.started = started;
+  f.sent = started;
+  f.cb = std::move(cb);
+  f.result = PageResult{};
   // Browse span: child of the driver's request when one is active, else its
   // own trace root (a directly driven browser still yields a span tree).
-  const obs::TraceContext page =
-      obs::active_context().sampled()
-          ? obs::begin_span(obs::Component::kStation, "browse", started)
-          : obs::start_trace(obs::Component::kStation, "browse", started);
-  PageCallback done = [this, page, started,
-                       cb = std::move(cb)](PageResult r) mutable {
-    obs::end_span(page, station_.sim().now());
-    obs::metric_record(m_page_us_,
-                       (station_.sim().now() - started).to_micros());
-    cb(std::move(r));
-  };
+  f.page = obs::active_context().sampled()
+               ? obs::begin_span(obs::Component::kStation, "browse", started)
+               : obs::start_trace(obs::Component::kStation, "browse", started);
 
   // Cache hit: only render cost applies.
   if (auto hit = cache_.get(url); hit.has_value()) {
     stats_.counter("cache_hits").add();
     obs::metric_add(m_cache_hits_);
-    PageResult r = std::move(*hit);
+    PageResult& r = f.result;
+    r = std::move(*hit);
     r.from_cache = true;
     r.network_time = sim::Time::zero();
     r.render_time = sim::Time::millis(static_cast<std::int64_t>(
         device_.render_ms_per_element() * static_cast<double>(r.elements)));
     battery_.drain_cpu(r.render_time);
-    const obs::TraceContext render = obs::begin_child(
-        page, obs::Component::kStation, "parse_render", started);
-    station_.sim().after(r.render_time, [this, r = std::move(r), started,
-                                         render,
-                                         cb = std::move(done)]() mutable {
-      obs::end_span(render, station_.sim().now());
-      r.total_time = station_.sim().now() - started;
-      cb(std::move(r));
-    });
+    f.work = obs::begin_child(f.page, obs::Component::kStation,
+                              "parse_render", started);
+    station_.sim().after(r.render_time, [this, slot] { after_render(slot); });
     return;
   }
 
   if (cfg_.mode == BrowserMode::kWap) {
     if (cfg_.use_wtls) {
-      secure_invoke(url, started, page, std::move(done));
+      secure_invoke(slot);
       return;
     }
-    auto payload = middleware::wsp_encode_request(url);
-    battery_.drain_tx_bytes(payload.size() + 36);  // + WDP/IP framing
-    obs::ActiveScope scope{page};
-    wtp_->invoke(cfg_.gateway, std::move(payload),
-                 [this, url, started, page, cb = std::move(done)](
-                     std::optional<std::string> result) mutable {
-      wsp_result(url, started, std::move(result), 0, page, std::move(cb));
-    });
+    std::size_t sent = 0;
+    obs::ActiveScope scope{f.page};
+    wtp_->invoke(
+        cfg_.gateway,
+        [&](sim::BufWriter& w) {
+          middleware::wsp_encode_request(f.url, w);
+          sent = w.size();
+        },
+        [this, slot](std::optional<sim::MutSlice> result) {
+          wsp_result(slot,
+                     result.has_value()
+                         ? std::optional<sim::Slice>{sim::as_slice(*result)}
+                         : std::nullopt,
+                     0);
+        });
+    battery_.drain_tx_bytes(sent + 36);  // + WDP/IP framing
     return;
   }
 
@@ -89,55 +110,65 @@ void MicroBrowser::browse(const std::string& url, PageCallback cb) {
   imode_path_.clear();
   sim::BufWriter{imode_path_}.put("/").put(url);
   battery_.drain_tx_bytes(imode_path_.size() + 60);
-  obs::ActiveScope scope{page};
+  obs::ActiveScope scope{f.page};
   http_->get(cfg_.gateway, imode_path_,
-             [this, url, started, page, cb = std::move(done)](
-                 std::optional<host::HttpResponse> resp) mutable {
+             [this, slot](std::optional<host::HttpResponse> resp) {
     if (!resp.has_value()) {
       stats_.counter("failures").add();
-      PageResult r;
-      r.total_time = station_.sim().now() - started;
-      cb(std::move(r));
+      fail(slot);
       return;
     }
     const std::size_t air = resp->wire_size();
     battery_.drain_rx_bytes(air);
-    finish_with_content(url, resp->status, std::move(resp->body), air,
-                        started, /*was_wbxml=*/false, page, std::move(cb));
+    fetches_[slot].result.content = std::move(resp->body);
+    finish_page(slot, resp->status, air);
   });
 }
 
-// Decode one (possibly absent) WTP result into a page.
-void MicroBrowser::wsp_result(const std::string& url, sim::Time started,
-                              std::optional<std::string>&& result,
-                              std::size_t air_bytes, obs::TraceContext page,
-                              PageCallback cb) {
-  if (!result.has_value()) {
+void MicroBrowser::wsp_result(std::uint32_t slot,
+                              std::optional<sim::Slice> payload,
+                              std::size_t air_bytes) {
+  if (!payload.has_value()) {
     stats_.counter("failures").add();
-    PageResult r;
-    r.total_time = station_.sim().now() - started;
-    cb(std::move(r));
+    fail(slot);
     return;
   }
-  battery_.drain_rx_bytes(result->size());
-  auto wsp = middleware::wsp_decode_response(*result);
+  battery_.drain_rx_bytes(payload->size());
+  const auto wsp = middleware::wsp_decode_response(*payload);
   if (!wsp.has_value()) {
     stats_.counter("failures").add();
-    PageResult r;
-    r.total_time = station_.sim().now() - started;
-    cb(std::move(r));
+    fail(slot);
     return;
   }
-  const bool wbxml = wsp->content_type == "application/vnd.wap.wmlc";
-  finish_with_content(url, wsp->status, std::move(wsp->body),
-                      air_bytes != 0 ? air_bytes : result->size(), started,
-                      wbxml, page, std::move(cb));
+  const std::size_t air = air_bytes != 0 ? air_bytes : payload->size();
+  // The page's one owned copy: the markup in the result, decoded from a
+  // WBXML deck straight out of the WTP message.
+  Fetch& f = fetches_[slot];
+  PageResult& r = f.result;
+  if (wsp->content_type != "application/vnd.wap.wmlc") {
+    r.content.assign(wsp->body);
+  } else if (!middleware::wbxml_decode_to(wsp->body, r.content)) {
+    stats_.counter("decode_errors").add();
+    r.status = wsp->status;
+    r.over_air_bytes = air;
+    r.network_time = station_.sim().now() - f.sent;
+    r.total_time = r.network_time;
+    complete(slot);
+    return;
+  }
+  finish_page(slot, wsp->status, air);
 }
 
-void MicroBrowser::secure_invoke(const std::string& url, sim::Time started,
-                                 obs::TraceContext page, PageCallback cb) {
+void MicroBrowser::secure_invoke(std::uint32_t slot) {
+  Fetch& f = fetches_[slot];
   if (!wtls_channel_.has_value()) {
-    wtls_waiters_.push_back(SecureWaiter{url, page, std::move(cb)});
+    if (waiters_tail_ == kNoFetch) {
+      waiters_head_ = slot;
+    } else {
+      fetches_[waiters_tail_].next_waiter = slot;
+    }
+    waiters_tail_ = slot;
+    f.next_waiter = kNoFetch;
     if (wtls_handshaking_) return;
     wtls_handshaking_ = true;
     stats_.counter("wtls_handshakes").add();
@@ -145,83 +176,97 @@ void MicroBrowser::secure_invoke(const std::string& url, sim::Time started,
     auto hs = std::make_shared<security::WtlsHandshake>(
         security::WtlsHandshake::Role::kClient, rng_.fork(),
         cfg_.wtls_ca_key);
-    auto hello = sim::cat("WTLS-HELLO ", hs->client_hello());
-    battery_.drain_tx_bytes(hello.size() + 36);
-    obs::ActiveScope scope{page};
-    wtp_->invoke(cfg_.gateway, std::move(hello),
-                 [this, hs](std::optional<std::string> result) {
-      wtls_handshaking_ = false;
-      auto waiters = std::move(wtls_waiters_);
-      wtls_waiters_.clear();
-      const bool ok =
-          result.has_value() && sim::starts_with(*result, "WTLS-SHELLO ") &&
-          hs->on_server_hello(
-                std::string_view{result->data() + 12, result->size() - 12})
-              .has_value();
-      if (!ok) {
-        stats_.counter("wtls_failures").add();
-        for (auto& w : waiters) {
-          PageResult r;
-          w.cb(std::move(r));
-        }
-        return;
-      }
-      wtls_channel_.emplace(hs->channel());
-      // Flush everything that queued behind the handshake.
-      for (auto& w : waiters) {
-        secure_invoke(w.url, station_.sim().now(), w.page, std::move(w.cb));
-      }
-    });
+    std::size_t sent = 0;
+    obs::ActiveScope scope{f.page};
+    wtp_->invoke(
+        cfg_.gateway,
+        [&](sim::BufWriter& w) {
+          w.put("WTLS-HELLO ").put(hs->client_hello());
+          sent = w.size();
+        },
+        [this, hs](std::optional<sim::MutSlice> result) {
+          on_handshake(*hs, result);
+        });
+    battery_.drain_tx_bytes(sent + 36);
     return;
   }
-  auto sealed = sim::cat(
-      "WTLS-DATA ", wtls_channel_->seal(middleware::wsp_encode_request(url)));
-  battery_.drain_tx_bytes(sealed.size() + 36);
-  obs::ActiveScope scope{page};
-  wtp_->invoke(cfg_.gateway, std::move(sealed),
-               [this, url, started, page, cb = std::move(cb)](
-                   std::optional<std::string> result) mutable {
-    if (result.has_value() && sim::starts_with(*result, "WTLS-DATA ")) {
-      auto opened = wtls_channel_->open(
-          std::string_view{result->data() + 10, result->size() - 10});
-      if (opened.has_value()) {
-        wsp_result(url, started, std::move(opened), result->size(), page,
-                   std::move(cb));
-        return;
-      }
-      stats_.counter("wtls_record_errors").add();
-    } else if (result.has_value() &&
-               sim::starts_with(*result, "WTLS-ERR")) {
-      // Session lost at the gateway: drop ours so the next browse redials.
-      wtls_channel_.reset();
-      stats_.counter("wtls_failures").add();
-    }
-    wsp_result(url, started, std::nullopt, 0, page, std::move(cb));
-  });
+  std::size_t sent = 0;
+  obs::ActiveScope scope{f.page};
+  wtp_->invoke(
+      cfg_.gateway,
+      [&](sim::BufWriter& w) {
+        // "WTLS-DATA " + the sealed WSP request, written once.
+        w.put("WTLS-DATA ");
+        const std::size_t record = wtls_channel_->begin_seal(w);
+        middleware::wsp_encode_request(f.url, w);
+        wtls_channel_->end_seal(w, record);
+        sent = w.size();
+      },
+      [this, slot](std::optional<sim::MutSlice> result) {
+        on_secure_result(slot, result);
+      });
+  battery_.drain_tx_bytes(sent + 36);
 }
 
-void MicroBrowser::finish_with_content(const std::string& url, int status,
-                                       std::string&& content,
-                                       std::size_t air_bytes,
-                                       sim::Time started, bool was_wbxml,
-                                       obs::TraceContext page,
-                                       PageCallback cb) {
-  PageResult r;
+void MicroBrowser::on_handshake(security::WtlsHandshake& hs,
+                                std::optional<sim::MutSlice> result) {
+  wtls_handshaking_ = false;
+  std::uint32_t waiter = waiters_head_;
+  waiters_head_ = kNoFetch;
+  waiters_tail_ = kNoFetch;
+  const sim::Slice reply =
+      result.has_value() ? sim::as_slice(*result) : sim::Slice{};
+  const bool ok = reply.starts_with("WTLS-SHELLO ") &&
+                  hs.on_server_hello(reply.substr(12)).has_value();
+  if (ok) {
+    wtls_channel_ = hs.channel();
+  } else {
+    stats_.counter("wtls_failures").add();
+  }
+  // Flush everything that queued behind the handshake; on success their
+  // request times start now.
+  while (waiter != kNoFetch) {
+    Fetch& f = fetches_[waiter];
+    const std::uint32_t next = f.next_waiter;
+    if (ok) {
+      f.sent = station_.sim().now();
+      secure_invoke(waiter);
+    } else {
+      f.result = PageResult{};
+      complete(waiter);
+    }
+    waiter = next;
+  }
+}
+
+void MicroBrowser::on_secure_result(std::uint32_t slot,
+                                    std::optional<sim::MutSlice> result) {
+  const sim::Slice bytes =
+      result.has_value() ? sim::as_slice(*result) : sim::Slice{};
+  if (bytes.starts_with("WTLS-DATA ") && wtls_channel_.has_value()) {
+    // Opened in place, in the WTP message.
+    const auto opened = wtls_channel_->open(result->subspan(10));
+    if (opened.has_value()) {
+      wsp_result(slot, opened, bytes.size());
+      return;
+    }
+    stats_.counter("wtls_record_errors").add();
+  } else if (bytes.starts_with("WTLS-ERR")) {
+    // Session lost at the gateway: drop ours so the next browse redials.
+    wtls_channel_.reset();
+    stats_.counter("wtls_failures").add();
+  }
+  wsp_result(slot, std::nullopt, 0);
+}
+
+void MicroBrowser::finish_page(std::uint32_t slot, int status,
+                               std::size_t air_bytes) {
+  Fetch& f = fetches_[slot];
+  PageResult& r = f.result;
   r.status = status;
   r.ok = status == 200;
   r.over_air_bytes = air_bytes;
-  r.network_time = station_.sim().now() - started;
-
-  // Decode WBXML decks back to WML text.
-  if (!was_wbxml) {
-    r.content = std::move(content);
-  } else if (!middleware::wbxml_decode_to(content, r.content)) {
-    stats_.counter("decode_errors").add();
-    r.ok = false;
-    r.total_time = station_.sim().now() - started;
-    cb(std::move(r));
-    return;
-  }
+  r.network_time = station_.sim().now() - f.sent;
 
   // One arena pass yields everything the handset and the application need
   // from the page; the cached copy carries it, so a hit never re-parses.
@@ -242,19 +287,21 @@ void MicroBrowser::finish_with_content(const std::string& url, int status,
     stats_.counter("pages_loaded").add();
     // Heuristic of the era: responses to parameterised requests are dynamic
     // (CGI output) and must not be reused; plain resources are cacheable.
-    if (url.find('?') == std::string::npos) {
-      cache_.put(url, r, r.content.size());
+    if (f.url.find('?') == std::string::npos) {
+      cache_.put(f.url, r, r.content.size());
     }
   }
-  const obs::TraceContext work = obs::begin_child(
-      page, obs::Component::kStation, "parse_render", station_.sim().now());
+  f.work = obs::begin_child(f.page, obs::Component::kStation, "parse_render",
+                            station_.sim().now());
   station_.sim().after(r.parse_time + r.render_time,
-                       [this, r = std::move(r), started, work,
-                        cb = std::move(cb)]() mutable {
-    obs::end_span(work, station_.sim().now());
-    r.total_time = station_.sim().now() - started;
-    cb(std::move(r));
-  });
+                       [this, slot] { after_render(slot); });
+}
+
+void MicroBrowser::after_render(std::uint32_t slot) {
+  Fetch& f = fetches_[slot];
+  obs::end_span(f.work, station_.sim().now());
+  f.result.total_time = station_.sim().now() - f.sent;
+  complete(slot);
 }
 
 }  // namespace mcs::station

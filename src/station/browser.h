@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "security/wtls.h"
+#include "sim/pool.h"
 #include "station/battery.h"
 #include "station/cache.h"
 #include "station/device.h"
@@ -67,21 +68,41 @@ class MicroBrowser {
   bool wtls_established() const { return wtls_channel_.has_value(); }
 
  private:
-  // `page` is the browse span (obs/trace.h); parse/render child spans and
-  // outgoing-request stamping hang off it.
-  void finish_with_content(const std::string& url, int status,
-                           std::string&& content, std::size_t air_bytes,
-                           sim::Time started, bool was_wbxml,
-                           obs::TraceContext page, PageCallback cb);
+  static constexpr std::uint32_t kNoFetch = ~std::uint32_t{0};
+  // One page fetch from browse() to its callback. The WTP, HTTP and timer
+  // callbacks capture only [this, slot], so they fit std::function's and
+  // the kernel's inline storage; fetches are recycled with their url buffer.
+  struct Fetch {
+    std::string url;
+    sim::Time started;          // browse() call: the page latency metric
+    sim::Time sent;             // request start: the PageResult times
+    obs::TraceContext page;     // browse span
+    obs::TraceContext work;     // parse_render span
+    PageCallback cb;
+    PageResult result;
+    std::uint32_t next_waiter = kNoFetch;  // queue behind the handshake
+  };
+
+  // Close the browse span, hand the result to the caller, free the slot.
+  void complete(std::uint32_t slot);
+  // Fail the fetch: an empty result that took until now.
+  void fail(std::uint32_t slot);
   // WAP+WTLS path: establish the session if needed, then run one sealed
   // WSP transaction.
-  void secure_invoke(const std::string& url, sim::Time started,
-                     obs::TraceContext page, PageCallback cb);
-  // `air_bytes` of 0 means "use the result's size" (plain path); the WTLS
-  // path passes the sealed wire size explicitly.
-  void wsp_result(const std::string& url, sim::Time started,
-                  std::optional<std::string>&& result, std::size_t air_bytes,
-                  obs::TraceContext page, PageCallback cb);
+  void secure_invoke(std::uint32_t slot);
+  void on_handshake(security::WtlsHandshake& hs,
+                    std::optional<sim::MutSlice> result);
+  void on_secure_result(std::uint32_t slot,
+                        std::optional<sim::MutSlice> result);
+  // Decode one (possibly absent) WSP response into the page. `air_bytes` of
+  // 0 means "the payload's size" (plain path); the WTLS path passes the
+  // sealed wire size.
+  void wsp_result(std::uint32_t slot, std::optional<sim::Slice> payload,
+                  std::size_t air_bytes);
+  // result.content holds the page's markup: summarise it, charge the CPU,
+  // cache it, and finish after the parse and render time.
+  void finish_page(std::uint32_t slot, int status, std::size_t air_bytes);
+  void after_render(std::uint32_t slot);
 
   net::Node& station_;
   DeviceProfile device_;
@@ -94,12 +115,9 @@ class MicroBrowser {
   sim::Rng rng_{0xB205E2ull};
   std::optional<security::SecureChannel> wtls_channel_;
   bool wtls_handshaking_ = false;
-  struct SecureWaiter {
-    std::string url;
-    obs::TraceContext page;
-    PageCallback cb;
-  };
-  std::vector<SecureWaiter> wtls_waiters_;
+  std::uint32_t waiters_head_ = kNoFetch;  // behind the handshake, FIFO
+  std::uint32_t waiters_tail_ = kNoFetch;
+  sim::SlotPool<Fetch> fetches_;
   sim::StatsRegistry stats_;
   // Telemetry handles, cached at construction (obs/metrics.h): null when no
   // registry is ambient, so each update is one predictable branch.

@@ -15,8 +15,11 @@ namespace mcs::transport {
 class UdpStack {
  public:
   // `datagram payload`, sender endpoint, destination port it arrived on.
+  // The payload is the packet's own bytes, valid until the callback returns;
+  // the receiver may rewrite them in place (the packet is not delivered
+  // again), so a protocol can decode a datagram where it landed.
   using ReceiveCallback = std::function<void(
-      const std::string& payload, net::Endpoint from, std::uint16_t port)>;
+      std::string& payload, net::Endpoint from, std::uint16_t port)>;
 
   explicit UdpStack(net::Node& node);
   UdpStack(const UdpStack&) = delete;

@@ -167,18 +167,15 @@ void WirelessMedium::start_shared_service() {
   shared_queued_bytes_ -= tx.packet->size_bytes();
   obs::metric_adjust(m_queued_bytes_,
                      -static_cast<double>(tx.packet->size_bytes()));
-  // Compute before the capture: function-argument evaluation order is
-  // unspecified, and the move-capture would empty tx first.
   const sim::Time service = service_time(tx.packet);
-  // Air time (serialization under contention + propagation) attributed to
-  // the stamped context as "wireless" component time.
-  const obs::TraceContext air = obs::begin_child(
-      obs::TraceContext{tx.packet->trace_id, tx.packet->trace_span},
-      obs::Component::kWireless, "air.tx", sim_.now());
-  sim_.after(service, [this, tx = std::move(tx), air] {
-    deliver(tx.from, tx.next_hop, tx.packet, air);
+  const std::uint32_t slot = put_on_air(std::move(tx));
+  auto on_done = [this, slot] {
+    land(slot);
     start_shared_service();
-  });
+  };
+  static_assert(sizeof(on_done) <= sim::InlineFunction::kInlineSize,
+                "the per-frame service callback must not take a heap cell");
+  sim_.after(service, std::move(on_done));
 }
 
 void WirelessMedium::start_circuit_service(net::Interface* station_iface) {
@@ -196,13 +193,34 @@ void WirelessMedium::start_circuit_service(net::Interface* station_iface) {
   // Dedicated channel: full effective rate, no contention factor.
   const sim::Time service = sim::transmission_time(
       tx.packet->size_bytes(), cfg_.phy.effective_rate_bps());
-  const obs::TraceContext air = obs::begin_child(
+  const std::uint32_t slot = put_on_air(std::move(tx));
+  auto on_done = [this, station_iface, slot] {
+    land(slot);
+    start_circuit_service(station_iface);
+  };
+  static_assert(sizeof(on_done) <= sim::InlineFunction::kInlineSize,
+                "the per-frame service callback must not take a heap cell");
+  sim_.after(service, std::move(on_done));
+}
+
+std::uint32_t WirelessMedium::put_on_air(PendingTx&& tx) {
+  const std::uint32_t slot = on_air_.acquire();
+  OnAir& frame = on_air_[slot];
+  // Air time (serialization under contention + propagation) attributed to
+  // the stamped context as "wireless" component time.
+  frame.air = obs::begin_child(
       obs::TraceContext{tx.packet->trace_id, tx.packet->trace_span},
       obs::Component::kWireless, "air.tx", sim_.now());
-  sim_.after(service, [this, station_iface, tx = std::move(tx), air] {
-    deliver(tx.from, tx.next_hop, tx.packet, air);
-    start_circuit_service(station_iface);
-  });
+  frame.tx = std::move(tx);
+  return slot;
+}
+
+void WirelessMedium::land(std::uint32_t slot) {
+  OnAir& frame = on_air_[slot];
+  const PendingTx tx = std::move(frame.tx);
+  const obs::TraceContext air = frame.air;
+  on_air_.release(slot);
+  deliver(tx.from, tx.next_hop, tx.packet, air);
 }
 
 void WirelessMedium::deliver(net::Interface* from, net::IpAddress next_hop,

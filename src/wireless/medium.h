@@ -9,6 +9,7 @@
 #include "net/node.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/pool.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
@@ -97,11 +98,23 @@ class WirelessMedium : public net::Channel {
     bool busy = false;
   };
 
+  // A frame from the start of its service to its delivery. Kept here, not
+  // in the kernel callback, so the callback captures only [this, slot]
+  // (and the station) and fits InlineFunction's inline buffer.
+  struct OnAir {
+    PendingTx tx;
+    obs::TraceContext air;  // the "air.tx" span
+  };
+
   bool circuit_mode() const { return cfg_.phy.switching == Switching::kCircuit; }
   double contention_factor() const;
   sim::Time service_time(const net::PacketPtr& p) const;
   void start_shared_service();
   void start_circuit_service(net::Interface* station);
+  // Start `tx`'s air time (and its "air.tx" span); returns its slot.
+  std::uint32_t put_on_air(PendingTx&& tx);
+  // Deliver the frame in `slot` and free the slot.
+  void land(std::uint32_t slot);
   // `air` is the in-flight "air.tx" span: closed here at the delivery or
   // drop point so air time includes serialization and propagation.
   void deliver(net::Interface* from, net::IpAddress next_hop,
@@ -122,6 +135,7 @@ class WirelessMedium : public net::Channel {
   std::deque<PendingTx> shared_queue_;
   std::size_t shared_queued_bytes_ = 0;
   bool shared_busy_ = false;
+  sim::SlotPool<OnAir> on_air_;
   int calls_ = 0;
   sim::StatsRegistry stats_;
   // Telemetry handles, cached at construction (obs/metrics.h); shared names

@@ -9,6 +9,22 @@
 namespace mcs::middleware {
 namespace {
 
+std::string wsp_request(const std::string& url) {
+  std::string out;
+  sim::BufWriter w{out};
+  wsp_encode_request(url, w);
+  return out;
+}
+
+// A WTP result callback that copies the (transient) result into `into`.
+WtpEndpoint::ResultCallback keep(std::optional<std::string>& into) {
+  return [&into](std::optional<sim::MutSlice> r) {
+    into = r.has_value() ? std::optional<std::string>{std::string{
+                               sim::as_slice(*r)}}
+                         : std::nullopt;
+  };
+}
+
 // phone --(lossy-able link)-- gateway --(wired)-- web server
 struct GatewayFixture : public ::testing::Test {
   GatewayFixture() : network{sim, 41} {
@@ -53,16 +69,23 @@ struct GatewayFixture : public ::testing::Test {
 };
 
 TEST(WspTest, RequestResponseEncoding) {
-  EXPECT_EQ(wsp_encode_request("10.0.0.1:80/x"), "GET 10.0.0.1:80/x");
+  EXPECT_EQ(wsp_request("10.0.0.1:80/x"), "GET 10.0.0.1:80/x");
   EXPECT_EQ(*wsp_decode_request("GET host/path"), "host/path");
   EXPECT_FALSE(wsp_decode_request("POST x").has_value());
-  const std::string resp = wsp_encode_response(200, "text/vnd.wap.wml",
-                                               "<wml/>");
-  const auto back = wsp_decode_response(resp);
+  std::string resp = "kept|";
+  sim::BufWriter w{resp};
+  wsp_encode_response(200, "text/vnd.wap.wml", "<wml/>", w);
+  EXPECT_EQ(resp, "kept|200 text/vnd.wap.wml\n<wml/>");
+  EXPECT_EQ(wsp_response_size(200, "text/vnd.wap.wml", "<wml/>"),
+            resp.size() - 5);
+  const sim::Slice payload = sim::Slice{resp}.substr(5);
+  const auto back = wsp_decode_response(payload);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->status, 200);
   EXPECT_EQ(back->content_type, "text/vnd.wap.wml");
   EXPECT_EQ(back->body, "<wml/>");
+  // Views into the payload, not copies.
+  EXPECT_EQ(back->body.data(), payload.data() + payload.size() - 6);
   EXPECT_FALSE(wsp_decode_response("no newline").has_value());
 }
 
@@ -88,13 +111,13 @@ TEST(ResolverTest, DottedQuad) {
 TEST_F(GatewayFixture, WtpInvokeResultRoundTrip) {
   WtpEndpoint responder{*gw_udp, 9300};
   WtpEndpoint initiator{*phone_udp, 9300};
-  responder.on_invoke = [](const std::string& payload, net::Endpoint,
-                           auto respond) {
-    respond("echo:" + payload);
+  responder.on_invoke = [](sim::MutSlice payload, net::Endpoint,
+                           WtpEndpoint::Responder respond) {
+    respond(sim::cat("echo:", sim::as_slice(payload)));
   };
   std::optional<std::string> got;
   initiator.invoke({gateway->addr(), 9300}, "hello",
-                   [&](std::optional<std::string> r) { got = r; });
+                   keep(got));
   sim.run();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, "echo:hello");
@@ -105,14 +128,14 @@ TEST_F(GatewayFixture, WtpSegmentsLargePayloads) {
   WtpEndpoint responder{*gw_udp, 9300};
   WtpEndpoint initiator{*phone_udp, 9300};
   const std::string big(5'000, 'z');  // > 4 segments at mtu 1200
-  responder.on_invoke = [&](const std::string& payload, net::Endpoint,
-                            auto respond) {
-    EXPECT_EQ(payload, big);
+  responder.on_invoke = [&](sim::MutSlice payload, net::Endpoint,
+                            WtpEndpoint::Responder respond) {
+    EXPECT_EQ(sim::as_slice(payload), big);
     respond(std::string(3'000, 'w'));
   };
   std::optional<std::string> got;
   initiator.invoke({gateway->addr(), 9300}, std::string{big},
-                   [&](std::optional<std::string> r) { got = r; });
+                   keep(got));
   sim.run();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->size(), 3'000u);
@@ -132,12 +155,13 @@ TEST_F(GatewayFixture, WtpRetransmitsThroughLoss) {
   });
   WtpEndpoint responder{*gw_udp, 9300};
   WtpEndpoint initiator{*phone_udp, 9300};
-  responder.on_invoke = [](const std::string&, net::Endpoint, auto respond) {
+  responder.on_invoke = [](sim::MutSlice, net::Endpoint,
+                           WtpEndpoint::Responder respond) {
     respond("ok");
   };
   std::optional<std::string> got;
   initiator.invoke({gateway->addr(), 9300}, "req",
-                   [&](std::optional<std::string> r) { got = r; });
+                   keep(got));
   sim.run_until(sim::Time::seconds(30.0));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, "ok");
@@ -150,14 +174,15 @@ TEST_F(GatewayFixture, WtpDuplicateInvokeIsNotReExecuted) {
   int executions = 0;
   // Delay the result beyond the initiator's retry interval so a duplicate
   // invoke reaches the responder while the first is still pending / cached.
-  responder.on_invoke = [&](const std::string&, net::Endpoint, auto respond) {
+  responder.on_invoke = [&](sim::MutSlice, net::Endpoint,
+                            WtpEndpoint::Responder respond) {
     ++executions;
     sim.after(sim::Time::seconds(1.0),
-              [respond = std::move(respond)] { respond("slow"); });
+              [respond] { respond("slow"); });
   };
   std::optional<std::string> got;
   initiator.invoke({gateway->addr(), 9300}, "req",
-                   [&](std::optional<std::string> r) { got = r; });
+                   keep(got));
   sim.run_until(sim::Time::seconds(30.0));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(executions, 1);
@@ -168,7 +193,7 @@ TEST_F(GatewayFixture, WtpFailsAfterMaxRetries) {
   WtpEndpoint initiator{*phone_udp, 9333};
   std::optional<std::string> got = "sentinel";
   initiator.invoke({gateway->addr(), 9333}, "req",
-                   [&](std::optional<std::string> r) { got = r; });
+                   keep(got));
   sim.run_until(sim::Time::minutes(2.0));
   EXPECT_FALSE(got.has_value());
   EXPECT_EQ(initiator.stats().counter("transactions_failed").value(), 1u);
@@ -179,15 +204,15 @@ TEST_F(GatewayFixture, WapGatewayTranslatesHtmlToWbxmlDeck) {
   WtpEndpoint phone_wtp{*phone_udp, kWapGatewayPort};
   std::optional<std::string> result;
   phone_wtp.invoke({gateway->addr(), kWapGatewayPort},
-                   wsp_encode_request(web_host() + "/index.html"),
-                   [&](std::optional<std::string> r) { result = r; });
+                   wsp_request(web_host() + "/index.html"),
+                   keep(result));
   sim.run();
   ASSERT_TRUE(result.has_value());
   const auto wsp = wsp_decode_response(*result);
   ASSERT_TRUE(wsp.has_value());
   EXPECT_EQ(wsp->status, 200);
   EXPECT_EQ(wsp->content_type, "application/vnd.wap.wmlc");
-  const auto deck = wbxml_decode(wsp->body);
+  const auto deck = wbxml_decode(std::string{wsp->body});
   ASSERT_TRUE(deck.has_value());
   ASSERT_NE(deck->find("card"), nullptr);
   EXPECT_EQ(*deck->find("card")->attr("title"), "Shop");
@@ -209,8 +234,8 @@ TEST_F(GatewayFixture, WapGatewayWbxmlShrinksAirBytes) {
     WtpEndpoint phone_wtp{*phone_udp, port};
     std::size_t air = 0;
     phone_wtp.invoke({gateway->addr(), port},
-                     wsp_encode_request(web_host() + "/index.html"),
-                     [&](std::optional<std::string> r) {
+                     wsp_request(web_host() + "/index.html"),
+                     [&](std::optional<sim::MutSlice> r) {
                        if (r.has_value()) air = r->size();
                      });
     sim.run();
@@ -229,8 +254,8 @@ TEST_F(GatewayFixture, WapGatewayReportsOriginFailures) {
   std::optional<std::string> result;
   // Port 81: nothing listens there.
   phone_wtp.invoke({gateway->addr(), kWapGatewayPort},
-                   wsp_encode_request(web->addr().to_string() + ":81/x"),
-                   [&](std::optional<std::string> r) { result = r; });
+                   wsp_request(web->addr().to_string() + ":81/x"),
+                   keep(result));
   sim.run_until(sim::Time::minutes(1.0));
   ASSERT_TRUE(result.has_value());
   const auto wsp = wsp_decode_response(*result);
@@ -335,8 +360,8 @@ TEST_F(GatewayFixture, WapUpstreamRequestsMatchGoldenWireBytes) {
   int done = 0;
   for (int i = 0; i < 2; ++i) {
     phone_wtp.invoke({gateway->addr(), kWapGatewayPort},
-                     wsp_encode_request(target + "/cart?item=5"),
-                     [&](std::optional<std::string> r) {
+                     wsp_request(target + "/cart?item=5"),
+                     [&](std::optional<sim::MutSlice> r) {
                        if (r.has_value()) ++done;
                      });
     sim.run_until(sim.now() + sim::Time::seconds(30.0));

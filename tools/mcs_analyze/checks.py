@@ -642,6 +642,13 @@ HOTPATH_ENTRIES = (
     ("host", "HttpServer", "dispatch"),
     ("gateway", "WapGateway", "handle_request"),
     ("gateway", "IModeGateway", "handle"),
+    # The WAP byte path (DESIGN.md §12.2): WTLS records are sealed and opened
+    # in place, and both ends reach them through std::function hops (the
+    # WTP invoke handler, the browser's handshake and result callbacks).
+    ("security", "SecureChannel", "seal"),
+    ("security", "SecureChannel", "open"),
+    ("gateway", "WapGateway", "on_wtp_invoke"),
+    ("browser", "MicroBrowser", "secure_invoke"),
     ("host", "DbServer", "on_line"),
     ("host", "DbClient", "on_data"),
     ("export", "StatsRegistry", "to_json"),
@@ -763,6 +770,47 @@ def _long_literal_to_string_ref(callees, toks, i):
     return False
 
 
+# Non-owning string views: substr on one of these returns another view.
+_VIEW_TYPE = re.compile(r"\b(string_view|Slice|MutSlice|span)\b")
+
+
+def _receiver_type(project: Project, fm, fn, toks, i):
+    """Declared type text of the plain-name receiver of the member call at
+    toks[i] (`name.f(...)` / `name->f(...)`): a local or parameter of `fn`,
+    a parameter of a lambda in `fn` whose body holds the call, or a member
+    of `fn`'s class. None for a computed or chained receiver, or a name the
+    model cannot see."""
+    if i < 2 or toks[i - 1].kind != "punct" \
+            or toks[i - 1].text not in (".", "->"):
+        return None
+    recv = toks[i - 2]
+    if recv.kind != "id" or (i >= 3 and toks[i - 3].kind == "punct"
+                             and toks[i - 3].text in (".", "->", "::")):
+        return None
+    for lam in fm.lambdas:
+        if lam.func is fn and lam.body[0] < i < lam.body[1]:
+            for ty, name in lam.params:
+                if name == recv.text:
+                    return ty
+    ty = fn.locals.get(recv.text)
+    if ty is None and fn.cls_name:
+        ci = project.class_index.get(fn.cls_name)
+        mem = ci.member(recv.text) if ci is not None else None
+        if mem is not None:
+            ty = mem.type_text
+    return ty
+
+
+def _allocating_call(project: Project, fm, fn, toks, i) -> bool:
+    """An ALLOC_CALLS name at toks[i]: `substr` allocates only on an owning
+    string, so a receiver declared as a view does not count (one the model
+    cannot type still does)."""
+    if toks[i].text != "substr":
+        return True
+    ty = _receiver_type(project, fm, fn, toks, i)
+    return ty is None or not _VIEW_TYPE.search(ty)
+
+
 def check_hotpath_alloc(project: Project, out):
     """Allocation, std::string churn, and container growth reachable from a
     per-packet/per-request entry point. One finding per (function, signal
@@ -811,9 +859,10 @@ def check_hotpath_alloc(project: Project, out):
                 sites.setdefault("operator new", []).append(t.line)
             elif t.text in ALLOC_CALLS and _is_call(toks, i) \
                     and not lands_in_project(i):
-                sites.setdefault("allocating calls "
-                                 "(make_*/to_string/substr/strf)",
-                                 []).append(t.line)
+                if _allocating_call(project, fm, fn, toks, i):
+                    sites.setdefault("allocating calls "
+                                     "(make_*/to_string/substr/strf)",
+                                     []).append(t.line)
             elif t.text in GROWTH_CALLS and _is_call(toks, i) \
                     and prev is not None and prev.text in (".", "->") \
                     and not lands_in_project(i):

@@ -59,7 +59,7 @@ def collect_files(roots) -> list:
 
 # Bump when the structural model or internal frontend changes shape, so a
 # stale cache from an older tool version is ignored rather than mis-decoded.
-MODEL_CACHE_VERSION = 2  # v2: arena-escape annotations on the model records
+MODEL_CACHE_VERSION = 3  # v3: lambda parameter types (v2: arena-escape annotations)
 
 
 def _load_model_cache(path: Path) -> dict:

@@ -767,8 +767,11 @@ class _Parser:
             return None
         captures = _parse_captures(toks[i + 1 : close_br])
         j = close_br + 1
+        params = []
         if j < end and toks[j].kind == "punct" and toks[j].text == "(":
+            open_paren = j
             j = _skip_balanced(toks, j, "(", ")")
+            params = _parse_params(toks[open_paren + 1 : j - 1])
         # specifiers: mutable, noexcept, attrs, -> ret
         while j < end:
             t = toks[j]
@@ -796,7 +799,8 @@ class _Parser:
         callee, receiver = self._lambda_context(i)
         return (Lambda(line=toks[i].line, captures=captures,
                        body=(j, body_end), context_callee=callee,
-                       context_receiver=receiver, func=fn), body_end + 1)
+                       context_receiver=receiver, func=fn,
+                       params=params), body_end + 1)
 
     def _lambda_context(self, lam_i):
         """Callee the lambda is an argument of: `recv.callee( [..]` or

@@ -109,6 +109,7 @@ class Lambda:
     context_callee: str | None  # e.g. 'emplace_back', 'submit', 'thread'
     context_receiver: str | None  # e.g. 'workers_'
     func: FunctionDef | None  # enclosing function definition
+    params: list = field(default_factory=list)  # [(type_text, name)]
 
 
 @dataclass

@@ -33,6 +33,7 @@ EXPECT_BAD = {
     "src/obs/unexempt_clock.cpp": {"wallclock": 1},
     "hotpath_alloc.cpp": {"hotpath-alloc": 5},
     "hotpath_literal.cpp": {"hotpath-alloc": 1},
+    "hotpath_substr.cpp": {"hotpath-alloc": 1},
     "shard_escape.cpp": {"shard-escape": 3},
     "lock_order.cpp": {"lock-order": 4},
     "arena_escape_field.cpp": {"arena-escape": 2},
