@@ -66,20 +66,53 @@ void Wal::checkpoint() {
 // Transaction
 // ---------------------------------------------------------------------------
 
-Transaction::~Transaction() {
-  if (state_ == State::kActive) abort();
+void TransactionRecycler::operator()(Transaction* txn) const {
+  txn->db_.recycle(txn);
 }
 
-bool Transaction::lock(const Table& table) {
-  if (!db_.try_lock(table.name(), id_)) return false;
-  for (std::size_t i = 0; i < locked_count_; ++i) {
-    if (locked_tables_[i] == &table.name()) return true;  // already held
-  }
+void Transaction::reset(std::uint64_t id) {
+  id_ = id;
+  state_ = State::kActive;
+  undo_count_ = 0;
+  redo_bytes_.clear();
+  redo_ends_.clear();
+  locked_count_ = 0;
+}
+
+bool Transaction::lock(Table& table) {
+  if (table.lock_holder() == id_) return true;  // already held
+  if (table.lock_holder() != 0) return false;   // no-wait: conflict
   MCS_ASSERT(locked_count_ < kMaxLockedTables,
              "transaction locked more tables than the inline lock table "
              "holds; raise kMaxLockedTables");
-  locked_tables_[locked_count_++] = &table.name();
+  table.set_lock_holder(id_);
+  locked_tables_[locked_count_++] = &table;
   return true;
+}
+
+void Transaction::unlock_all() {
+  for (std::size_t i = 0; i < locked_count_; ++i) {
+    if (locked_tables_[i]->lock_holder() == id_) {
+      locked_tables_[i]->set_lock_holder(0);
+    }
+  }
+  locked_count_ = 0;
+}
+
+Transaction::UndoOp& Transaction::push_undo(UndoOp::Kind kind, Table& table,
+                                            const Value& pk) {
+  if (undo_count_ == undo_.size()) undo_.emplace_back();
+  UndoOp& op = undo_[undo_count_++];
+  op.kind = kind;
+  op.table = &table;
+  op.pk = pk;
+  return op;
+}
+
+void Transaction::end_redo() {
+  MCS_ASSERT(redo_bytes_.size() < UINT32_MAX,
+             "redo offsets are 32-bit; one transaction must log under 4 GiB");
+  redo_ends_.push_back(static_cast<std::uint32_t>(redo_bytes_.size()));
 }
 
 bool Transaction::insert(const std::string& table, Row row) {
@@ -88,17 +121,21 @@ bool Transaction::insert(const std::string& table, Row row) {
   if (t == nullptr || !lock(*t)) return false;
   MCS_ASSERT(t->primary_key_col() < row.size(),
              "row too short to carry the table's primary key");
-  const Value pk = row[t->primary_key_col()];
-  const auto wal_op = sim::build(8 + table.size(), [&](std::string& out) {
-    sim::BufWriter w{out};
-    w.put("INS ").put(table).ch(' ');
-    append_row(w, row);
-  });
-  if (!t->insert(std::move(row))) return false;
-  undo_.push_back(
-      UndoOp{UndoOp::Kind::kErase, table, pk, {}});
-  redo_.push_back(wal_op);
-  MCS_INVARIANT(undo_.size() == redo_.size(),
+  // The redo record is written before the row moves into the table, and
+  // taken back if the table refuses it.
+  const std::size_t mark = redo_bytes_.size();
+  sim::BufWriter w{redo_bytes_};
+  w.put("INS ").put(table).ch(' ');
+  append_row(w, row);
+  const Value& pk = row[t->primary_key_col()];
+  push_undo(UndoOp::Kind::kErase, *t, pk);
+  if (!t->insert(std::move(row))) {
+    --undo_count_;
+    redo_bytes_.resize(mark);
+    return false;
+  }
+  end_redo();
+  MCS_INVARIANT(undo_count_ == redo_ends_.size(),
                 "every redo record needs a matching undo to stay abortable");
   return true;
 }
@@ -110,20 +147,21 @@ bool Transaction::update(const std::string& table, const Value& pk,
   if (t == nullptr || !lock(*t)) return false;
   const Row* old = t->find(pk);
   if (old == nullptr) return false;
-  Row old_copy = *old;
-  if (!t->update(pk, col, v)) return false;
   // After a PK-column update the row is addressed by the new key.
-  const Value new_pk = col == t->primary_key_col() ? v : pk;
-  undo_.push_back(
-      UndoOp{UndoOp::Kind::kRestoreRow, table, new_pk, std::move(old_copy)});
-  redo_.push_back(sim::build(8 + table.size(), [&](std::string& out) {
-    sim::BufWriter w{out};
-    w.put("UPD ").put(table).ch(' ');
-    append_value(w, pk);
-    w.ch(' ').u64(col).ch(' ');
-    append_value(w, v);
-  }));
-  MCS_INVARIANT(undo_.size() == redo_.size(),
+  const bool pk_change = col == t->primary_key_col();
+  UndoOp& op = push_undo(UndoOp::Kind::kRestoreRow, *t, pk_change ? v : pk);
+  op.old_row = *old;
+  if (!t->update(pk, col, v)) {
+    --undo_count_;
+    return false;
+  }
+  sim::BufWriter w{redo_bytes_};
+  w.put("UPD ").put(table).ch(' ');
+  append_value(w, pk);
+  w.ch(' ').u64(col).ch(' ');
+  append_value(w, v);
+  end_redo();
+  MCS_INVARIANT(undo_count_ == redo_ends_.size(),
                 "every redo record needs a matching undo to stay abortable");
   return true;
 }
@@ -134,16 +172,17 @@ bool Transaction::erase(const std::string& table, const Value& pk) {
   if (t == nullptr || !lock(*t)) return false;
   const Row* old = t->find(pk);
   if (old == nullptr) return false;
-  Row old_copy = *old;
-  if (!t->erase(pk)) return false;
-  undo_.push_back(
-      UndoOp{UndoOp::Kind::kReinsert, table, pk, std::move(old_copy)});
-  redo_.push_back(sim::build(8 + table.size(), [&](std::string& out) {
-    sim::BufWriter w{out};
-    w.put("DEL ").put(table).ch(' ');
-    append_value(w, pk);
-  }));
-  MCS_INVARIANT(undo_.size() == redo_.size(),
+  UndoOp& op = push_undo(UndoOp::Kind::kReinsert, *t, pk);
+  op.old_row = *old;
+  if (!t->erase(pk)) {
+    --undo_count_;
+    return false;
+  }
+  sim::BufWriter w{redo_bytes_};
+  w.put("DEL ").put(table).ch(' ');
+  append_value(w, pk);
+  end_redo();
+  MCS_INVARIANT(undo_count_ == redo_ends_.size(),
                 "every redo record needs a matching undo to stay abortable");
   return true;
 }
@@ -155,13 +194,17 @@ const Row* Transaction::find(const std::string& table, const Value& pk) const {
 
 bool Transaction::commit() {
   if (state_ != State::kActive) return false;
-  MCS_ASSERT(undo_.size() == redo_.size(),
+  MCS_ASSERT(undo_count_ == redo_ends_.size(),
              "commit with unpaired undo/redo: some mutation bypassed "
              "transaction bookkeeping");
-  for (const auto& op : redo_) db_.wal_.append(id_, op);
+  std::uint32_t start = 0;
+  for (const std::uint32_t end : redo_ends_) {
+    db_.wal_.append(id_, sim::Slice{redo_bytes_.data() + start, end - start});
+    start = end;
+  }
   db_.wal_.append(id_, "COMMIT");
   state_ = State::kCommitted;
-  db_.unlock_all(id_, {locked_tables_.data(), locked_count_});
+  unlock_all();
   ++db_.committed_;
   MCS_INVARIANT(state_ != State::kActive,
                 "a committed transaction can never mutate again");
@@ -170,28 +213,29 @@ bool Transaction::commit() {
 
 void Transaction::abort() {
   if (state_ != State::kActive) return;
-  // Undo in reverse order.
-  for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-    Table* t = db_.table(it->table);
-    if (t == nullptr) continue;
-    switch (it->kind) {
+  // Undo in reverse order. Every undo entry's table is locked by this
+  // transaction, and Database never replaces a locked table, so the
+  // pointers are live.
+  for (std::size_t i = undo_count_; i-- > 0;) {
+    UndoOp& op = undo_[i];
+    switch (op.kind) {
       case UndoOp::Kind::kErase:
-        t->erase(it->pk);
+        op.table->erase(op.pk);
         break;
       case UndoOp::Kind::kRestoreRow:
-        t->update_row(it->pk, it->old_row);
+        op.table->update_row(op.pk, op.old_row);
         break;
       case UndoOp::Kind::kReinsert:
-        t->insert(it->old_row);
+        op.table->insert(op.old_row);
         break;
     }
   }
+  undo_count_ = 0;
   state_ = State::kAborted;
-  db_.unlock_all(id_, {locked_tables_.data(), locked_count_});
+  unlock_all();
   ++db_.aborted_;
   MCS_INVARIANT(state_ == State::kAborted,
-                "abort must land in the terminal state even when undo "
-                "touched dropped tables");
+                "abort must land in the terminal state");
 }
 
 // ---------------------------------------------------------------------------
@@ -203,6 +247,13 @@ Table& Database::create_table(const std::string& table,
                               std::size_t primary_key_col) {
   MCS_ASSERT(!table.empty(), "tables are addressed by name everywhere; "
                              "an unnamed table would be unreachable");
+  // Undo logs and lock lists point at tables: a table a transaction holds
+  // may not be replaced under it.
+  if (const Table* old = this->table(table); old != nullptr) {
+    MCS_ASSERT(old->lock_holder() == 0,
+               "create_table would replace a table an open transaction "
+               "has locked");
+  }
   auto t = std::make_unique<Table>(table, std::move(columns), primary_key_col);
   Table& ref = *t;
   tables_[table] = std::move(t);
@@ -229,17 +280,36 @@ std::vector<std::string> Database::table_names() const {
   return out;
 }
 
-std::unique_ptr<Transaction> Database::begin() {
-  return std::unique_ptr<Transaction>{new Transaction{*this, next_txn_++}};
+TransactionPtr Database::begin() {
+  Transaction* txn = free_txns_;
+  if (txn != nullptr) {
+    free_txns_ = txn->next_free_;
+  } else {
+    txns_.push_back(std::unique_ptr<Transaction>{new Transaction{*this}});
+    txn = txns_.back().get();
+  }
+  txn->reset(next_txn_++);
+  MCS_INVARIANT(txn->active() && txn->undo_count_ == 0 &&
+                    txn->locked_count_ == 0,
+                "a recycled transaction starts with no undo and no locks");
+  return TransactionPtr{txn};
 }
 
+void Database::recycle(Transaction* txn) {
+  if (txn->active()) txn->abort();
+  txn->next_free_ = free_txns_;
+  free_txns_ = txn;
+}
+
+// Autocommit: the handle recycles the transaction when it goes out of
+// scope, aborting it if the operation failed. The `Transaction&` spells the
+// type for mcs-analyze, which then resolves txn.insert to the analyzed
+// Transaction body rather than guessing at an unresolved call.
 bool Database::insert(const std::string& table, Row row) {
-  // Spelled-out type: mcs-analyze resolves txn->insert to the analyzed
-  // Transaction body (an `auto` local would double-count its allocations
-  // here as an unresolved call).
-  std::unique_ptr<Transaction> txn = begin();
-  const bool ok = txn->insert(table, std::move(row)) && txn->commit();
-  MCS_INVARIANT(!ok || !txn->active(),
+  const TransactionPtr handle = begin();
+  Transaction& txn = *handle;
+  const bool ok = txn.insert(table, std::move(row)) && txn.commit();
+  MCS_INVARIANT(!ok || !txn.active(),
                 "autocommit must never return success with the "
                 "transaction (and its table lock) still open");
   return ok;
@@ -247,38 +317,23 @@ bool Database::insert(const std::string& table, Row row) {
 
 bool Database::update(const std::string& table, const Value& pk,
                       std::size_t col, const Value& v) {
-  auto txn = begin();
-  const bool ok = txn->update(table, pk, col, v) && txn->commit();
-  MCS_INVARIANT(!ok || !txn->active(),
+  const TransactionPtr handle = begin();
+  Transaction& txn = *handle;
+  const bool ok = txn.update(table, pk, col, v) && txn.commit();
+  MCS_INVARIANT(!ok || !txn.active(),
                 "autocommit must never return success with the "
                 "transaction (and its table lock) still open");
   return ok;
 }
 
 bool Database::erase(const std::string& table, const Value& pk) {
-  auto txn = begin();
-  const bool ok = txn->erase(table, pk) && txn->commit();
-  MCS_INVARIANT(!ok || !txn->active(),
+  const TransactionPtr handle = begin();
+  Transaction& txn = *handle;
+  const bool ok = txn.erase(table, pk) && txn.commit();
+  MCS_INVARIANT(!ok || !txn.active(),
                 "autocommit must never return success with the "
                 "transaction (and its table lock) still open");
   return ok;
-}
-
-bool Database::try_lock(const std::string& table, std::uint64_t txn) {
-  auto it = table_locks_.find(table);
-  if (it == table_locks_.end()) {
-    table_locks_[table] = txn;
-    return true;
-  }
-  return it->second == txn;
-}
-
-void Database::unlock_all(std::uint64_t txn,
-                          std::span<const std::string* const> tables) {
-  for (const std::string* t : tables) {
-    auto it = table_locks_.find(*t);
-    if (it != table_locks_.end() && it->second == txn) table_locks_.erase(it);
-  }
 }
 
 }  // namespace mcs::host::db

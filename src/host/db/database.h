@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -49,13 +48,24 @@ class MCS_OWNS_ARENA Wal {
 };
 
 class Database;
+class Transaction;
+
+// Hands a finished transaction back to its Database for reuse (aborting it
+// first if it is still active), so a handle going out of scope never frees.
+struct TransactionRecycler {
+  void operator()(Transaction* txn) const;
+};
+using TransactionPtr = std::unique_ptr<Transaction, TransactionRecycler>;
 
 // A transaction: table-level exclusive write locks (no-wait: a conflicting
 // operation fails immediately and the application retries), an undo log for
 // rollback, and WAL records emitted at commit.
+//
+// Transactions are recycled by their Database: begin() hands out a parked
+// one, and its undo entries, redo bytes and offsets keep their capacity, so
+// a warm transaction allocates only what the tables themselves keep.
 class Transaction {
  public:
-  ~Transaction();
   Transaction(const Transaction&) = delete;
   Transaction& operator=(const Transaction&) = delete;
 
@@ -78,28 +88,42 @@ class Transaction {
 
  private:
   friend class Database;
+  friend struct TransactionRecycler;
   enum class State { kActive, kCommitted, kAborted };
+  // One undo entry. Entries past undo_count_ are spare: reuse assigns into
+  // them, so the old-row copies keep their vectors' and strings' capacity.
   struct UndoOp {
-    enum class Kind { kErase, kRestoreRow, kReinsert } kind;
-    std::string table;
+    enum class Kind { kErase, kRestoreRow, kReinsert } kind = Kind::kErase;
+    Table* table = nullptr;
     Value pk;
     Row old_row;
   };
 
-  Transaction(Database& db, std::uint64_t id) : db_{db}, id_{id} {}
-  bool lock(const Table& table);
+  explicit Transaction(Database& db) : db_{db} {}
+  // Fresh-equivalent state under a new id; buffers keep their capacity.
+  void reset(std::uint64_t id);
+  bool lock(Table& table);
+  void unlock_all();
+  UndoOp& push_undo(UndoOp::Kind kind, Table& table, const Value& pk);
+  // Close the redo record appended to redo_bytes_ since the last one; its
+  // undo entry is already pushed.
+  void end_redo();
 
   Database& db_;
   std::uint64_t id_ = 0;
   State state_ = State::kActive;
+  Transaction* next_free_ = nullptr;  // Database's free list
   std::vector<UndoOp> undo_;
-  std::vector<std::string> redo_;  // WAL ops, written on commit
-  // Lock bookkeeping is a fixed inline array of pointers to each locked
-  // Table's own (stable) name string: taking a lock on the transaction hot
-  // path allocates nothing. A transaction touches a handful of tables; the
-  // capacity is contract-checked in lock().
+  std::size_t undo_count_ = 0;
+  // WAL ops, written on commit: record i is
+  // redo_bytes_[redo_ends_[i - 1], redo_ends_[i]).
+  std::string redo_bytes_;
+  std::vector<std::uint32_t> redo_ends_;
+  // The tables this transaction holds the lock of, a fixed inline array: a
+  // transaction touches a handful of tables; the capacity is
+  // contract-checked in lock().
   static constexpr std::size_t kMaxLockedTables = 8;
-  std::array<const std::string*, kMaxLockedTables> locked_tables_{};
+  std::array<Table*, kMaxLockedTables> locked_tables_{};
   std::size_t locked_count_ = 0;
 };
 
@@ -120,7 +144,9 @@ class Database {
   const Table* table(const std::string& name) const;
   std::vector<std::string> table_names() const;
 
-  std::unique_ptr<Transaction> begin();
+  // A recycled transaction under a fresh id; handing the pointer back
+  // (destroying it) aborts the transaction if it is still active.
+  TransactionPtr begin();
 
   // Auto-commit helpers (single-op transactions).
   bool insert(const std::string& table, Row row);
@@ -134,14 +160,16 @@ class Database {
 
  private:
   friend class Transaction;
-  bool try_lock(const std::string& table, std::uint64_t txn);
-  void unlock_all(std::uint64_t txn,
-                  std::span<const std::string* const> tables);
+  friend struct TransactionRecycler;
+  void recycle(Transaction* txn);
 
   std::string name_;
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
-  std::unordered_map<std::string, std::uint64_t> table_locks_;  // table -> txn
   Wal wal_;
+  // Every transaction this database made (the high-water mark of open
+  // ones), and the idle ones chained through Transaction::next_free_.
+  std::vector<std::unique_ptr<Transaction>> txns_;
+  Transaction* free_txns_ = nullptr;
   std::uint64_t next_txn_ = 1;
   std::uint64_t committed_ = 0;
   std::uint64_t aborted_ = 0;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <type_traits>
 
 #include "sim/arena.h"
+#include "sim/inline_function.h"
 #include "sim/util.h"
 
 namespace mcs::host::db {
@@ -131,11 +133,11 @@ void encode_row(sim::BufWriter& w, const Row& row) {
 }
 
 // "ROWS <n>" plus one line per row that `visit` hands to its emitter,
-// encoded straight from table storage. Rows land in a reused per-thread
-// buffer first (the count leads the message), then the message is one
-// exact allocation, with room for the newline complete() appends.
+// encoded straight from table storage into `out` (a response slot's reused
+// buffer). Rows land in a reused per-thread buffer first, as the count
+// leads the message.
 template <typename Visit>
-std::string rows_message(Visit&& visit) {
+void rows_message(std::string& out, Visit&& visit) {
   std::string& rows = sim::scratch(2);
   rows.clear();
   sim::BufWriter w{rows};
@@ -145,10 +147,8 @@ std::string rows_message(Visit&& visit) {
     encode_row(w, r);
     ++n;
   });
-  const sim::NumStr count = sim::u64s(n);
-  return sim::build(5 + count.len + rows.size() + 1, [&](std::string& out) {
-    sim::BufWriter{out}.put("ROWS ").put(count).put(rows);
-  });
+  out.clear();
+  sim::BufWriter{out}.put("ROWS ").u64(n).put(rows);
 }
 
 // Spans never own their names, so commands map to static strings.
@@ -249,47 +249,65 @@ void DbServer::on_accept(transport::TcpSocket::Ptr s) {
   conn->socket->on_remote_close = [conn] { conn->socket->close(); };
 }
 
-// Fill a slot and flush the in-order prefix of ready responses.
-void DbServer::complete(const std::shared_ptr<Connection>& conn,
-                        const Slot& slot, std::string&& msg) {
-  slot->msg = std::move(msg);
-  slot->ready = true;
-  obs::end_span(slot->ctx, stack_.sim().now());
-  while (!conn->outbox.empty() && conn->outbox.front()->ready) {
-    const Slot front = conn->outbox.front();
-    conn->outbox.pop_front();
-    // Response bytes stamped with the operation they answer. The slot is
-    // dead after this flush, so its message doubles as the send buffer.
-    obs::ActiveScope scope{front->ctx};
-    front->msg += '\n';
-    conn->socket->send(front->msg);
+static_assert(std::is_trivially_copyable_v<DbServer::ResponseSlot> &&
+                  sizeof(DbServer::ResponseSlot) <=
+                      sim::InlineFunction::kInlineSize,
+              "a scheduled DB response must fit the kernel's inline buffer");
+
+void DbServer::complete(std::uint32_t slot) {
+  PendingResponse& done = slots_[slot];
+  done.ready = true;
+  obs::end_span(done.ctx, stack_.sim().now());
+  // The flush below releases slots, this one included: hold the connection.
+  const std::shared_ptr<Connection> conn = done.conn;
+  while (conn->outbox_head != kNoSlot && slots_[conn->outbox_head].ready) {
+    const std::uint32_t front = conn->outbox_head;
+    PendingResponse& p = slots_[front];
+    conn->outbox_head = p.next;
+    if (conn->outbox_head == kNoSlot) conn->outbox_tail = kNoSlot;
+    // Response bytes stamped with the operation they answer. The message
+    // doubles as the send buffer.
+    obs::ActiveScope scope{p.ctx};
+    p.msg += '\n';
+    conn->socket->send(p.msg);
+    p.conn.reset();
+    // Idle slots keep at most kMaxLargeIdle long buffers (a SCAN of many
+    // rows): enough for the steady state, while a burst of concurrent
+    // scans does not leave every slot it grew holding its peak size.
+    if (p.msg.capacity() > kKeptMessageBytes) {
+      if (large_idle_ < kMaxLargeIdle) {
+        ++large_idle_;
+      } else {
+        p.msg.clear();
+        p.msg.shrink_to_fit();
+      }
+    }
+    slots_.release(front);
   }
 }
 
-void DbServer::respond(const std::shared_ptr<Connection>& conn,
-                       const Slot& slot, std::string&& msg) {
+void DbServer::respond(std::uint32_t slot) {
   // CPU cost of handling one operation.
-  stack_.sim().after(cfg_.op_delay,
-                     [this, conn, slot, msg = std::move(msg)]() mutable {
-    complete(conn, slot, std::move(msg));
-  });
+  stack_.sim().after(cfg_.op_delay, ResponseSlot{this, slot});
 }
 
-void DbServer::respond_commit(const std::shared_ptr<Connection>& conn,
-                              const Slot& slot, std::string&& msg) {
+void DbServer::respond(std::uint32_t slot, sim::Slice msg) {
+  slots_[slot].msg.assign(msg.data(), msg.size());
+  respond(slot);
+}
+
+void DbServer::respond_commit(std::uint32_t slot, sim::Slice msg) {
+  slots_[slot].msg.assign(msg.data(), msg.size());
   switch (cfg_.sync_policy) {
     case SyncPolicy::kNone:
-      respond(conn, slot, std::move(msg));
+      respond(slot);
       return;
     case SyncPolicy::kPerCommit: {
       // One serialized fsync per commit on the single log device.
       const sim::Time start = std::max(stack_.sim().now() + cfg_.op_delay,
                                        log_busy_until_);
       log_busy_until_ = start + cfg_.fsync_delay;
-      stack_.sim().at(log_busy_until_,
-                      [this, conn, slot, msg = std::move(msg)]() mutable {
-                        complete(conn, slot, std::move(msg));
-                      });
+      stack_.sim().at(log_busy_until_, ResponseSlot{this, slot});
       stats_.counter("fsyncs").add();
       obs::metric_add(m_fsyncs_);
       obs::metric_record(m_wal_flush_us_,
@@ -297,7 +315,7 @@ void DbServer::respond_commit(const std::shared_ptr<Connection>& conn,
       return;
     }
     case SyncPolicy::kGroup:
-      pending_commits_.emplace_back(conn, slot, std::move(msg));
+      pending_commits_.push_back(slot);
       if (!group_timer_armed_) {
         group_timer_armed_ = true;
         // Collect commits for one window, then issue a single fsync.
@@ -308,10 +326,10 @@ void DbServer::respond_commit(const std::shared_ptr<Connection>& conn,
           group_timer_armed_ = false;
           stats_.counter("fsyncs").add();
           obs::metric_add(m_fsyncs_);
-          auto batch = std::move(pending_commits_);
-          pending_commits_.clear();
+          commit_batch_.swap(pending_commits_);
           stats_.counter("group_commit_batches").add();
-          for (auto& [c, sl, m] : batch) complete(c, sl, std::move(m));
+          for (const std::uint32_t sl : commit_batch_) complete(sl);
+          commit_batch_.clear();
         });
       }
       // Once the window is armed log_busy_until_ is this batch's flush
@@ -326,14 +344,25 @@ void DbServer::on_line(const std::shared_ptr<Connection>& conn,
                        sim::Slice line) {
   stats_.counter("requests").add();
   obs::metric_add(m_requests_);
-  Slot slot = std::make_shared<PendingResponse>();
-  conn->outbox.push_back(slot);
+  const std::uint32_t slot = slots_.acquire();
+  PendingResponse& p = slots_[slot];
+  if (p.msg.capacity() > kKeptMessageBytes) --large_idle_;
+  p.conn = conn;
+  p.msg.clear();
+  p.ready = false;
+  p.next = kNoSlot;
+  if (conn->outbox_tail == kNoSlot) {
+    conn->outbox_head = slot;
+  } else {
+    slots_[conn->outbox_tail].next = slot;
+  }
+  conn->outbox_tail = slot;
   sim::Slice f[6];
   const std::size_t nf = split_ws(line, f, 6);
   const sim::Slice cmd = f[0];
   // Ambient parent: the app.program span that issued the command.
-  slot->ctx = obs::begin_span(obs::Component::kHostDb, db_span_name(cmd),
-                              stack_.sim().now());
+  p.ctx = obs::begin_span(obs::Component::kHostDb, db_span_name(cmd),
+                          stack_.sim().now());
 
   auto get_txn = [&](std::uint64_t id) -> Transaction* {
     auto it = conn->txns.find(id);
@@ -349,39 +378,37 @@ void DbServer::on_line(const std::shared_ptr<Connection>& conn,
   };
 
   if (cmd == "BEGIN") {
-    auto txn = db_.begin();
-    const std::uint64_t id = txn->id();
-    conn->txns[id] = std::move(txn);
-    respond(conn, slot, sim::cat("OK ", sim::u64s(id)));
+    TransactionPtr opened = db_.begin();
+    const std::uint64_t id = opened->id();
+    conn->txns[id] = std::move(opened);
+    sim::BufWriter{p.msg}.put("OK ").u64(id);
+    respond(slot);
     return;
   }
   if (cmd == "COMMIT" && nf == 2) {
     const std::uint64_t id = parse_u64(f[1]);
     Transaction* txn = get_txn(id);
     if (txn == nullptr) {
-      respond(conn, slot, "ERR unknown-txn");
+      respond(slot, "ERR unknown-txn");
       return;
     }
     const bool ok = txn->commit();
     conn->txns.erase(id);
     stats_.counter(ok ? "commits" : "commit_failures").add();
-    respond_commit(conn, slot, ok ? "OK" : "ERR commit-failed");
+    respond_commit(slot, ok ? "OK" : "ERR commit-failed");
     return;
   }
   if (cmd == "ABORT" && nf == 2) {
-    const std::uint64_t id = parse_u64(f[1]);
-    if (Transaction* txn = get_txn(id); txn != nullptr) {
-      txn->abort();
-      conn->txns.erase(id);
-    }
-    respond(conn, slot, "OK");
+    // Dropping the handle aborts an active transaction.
+    conn->txns.erase(parse_u64(f[1]));
+    respond(slot, "OK");
     return;
   }
   if (cmd == "INS" && nf == 4) {
     const std::uint64_t id = parse_u64(f[1]);
     Table* t = lookup_table(f[2]);
     if (t == nullptr) {
-      respond(conn, slot, "ERR no-table");
+      respond(slot, "ERR no-table");
       return;
     }
     Row row = decode_row_packed(*t, f[3]);
@@ -389,26 +416,26 @@ void DbServer::on_line(const std::shared_ptr<Connection>& conn,
     if (id == 0) {
       ok = db_.insert(tname, std::move(row));
       if (ok) {
-        respond_commit(conn, slot, "OK");
+        respond_commit(slot, "OK");
         return;
       }
     } else {
       Transaction* txn = get_txn(id);
       ok = txn != nullptr && txn->insert(tname, std::move(row));
     }
-    respond(conn, slot, ok ? "OK" : "ERR insert-failed");
+    respond(slot, ok ? "OK" : "ERR insert-failed");
     return;
   }
   if (cmd == "UPD" && nf == 6) {
     const std::uint64_t id = parse_u64(f[1]);
     Table* t = lookup_table(f[2]);
     if (t == nullptr) {
-      respond(conn, slot, "ERR no-table");
+      respond(slot, "ERR no-table");
       return;
     }
     const std::size_t col = parse_u64(f[4]);
     if (col >= t->columns().size()) {
-      respond(conn, slot, "ERR bad-column");
+      respond(slot, "ERR bad-column");
       return;
     }
     const Value pk =
@@ -418,21 +445,21 @@ void DbServer::on_line(const std::shared_ptr<Connection>& conn,
     if (id == 0) {
       ok = db_.update(tname, pk, col, v);
       if (ok) {
-        respond_commit(conn, slot, "OK");
+        respond_commit(slot, "OK");
         return;
       }
     } else {
       Transaction* txn = get_txn(id);
       ok = txn != nullptr && txn->update(tname, pk, col, v);
     }
-    respond(conn, slot, ok ? "OK" : "ERR update-failed");
+    respond(slot, ok ? "OK" : "ERR update-failed");
     return;
   }
   if (cmd == "DEL" && nf == 4) {
     const std::uint64_t id = parse_u64(f[1]);
     Table* t = lookup_table(f[2]);
     if (t == nullptr) {
-      respond(conn, slot, "ERR no-table");
+      respond(slot, "ERR no-table");
       return;
     }
     const Value pk =
@@ -441,57 +468,58 @@ void DbServer::on_line(const std::shared_ptr<Connection>& conn,
     if (id == 0) {
       ok = db_.erase(tname, pk);
       if (ok) {
-        respond_commit(conn, slot, "OK");
+        respond_commit(slot, "OK");
         return;
       }
     } else {
       Transaction* txn = get_txn(id);
       ok = txn != nullptr && txn->erase(tname, pk);
     }
-    respond(conn, slot, ok ? "OK" : "ERR delete-failed");
+    respond(slot, ok ? "OK" : "ERR delete-failed");
     return;
   }
   if (cmd == "GET" && nf == 3) {
     Table* t = lookup_table(f[1]);
     if (t == nullptr) {
-      respond(conn, slot, "ERR no-table");
+      respond(slot, "ERR no-table");
       return;
     }
     const Value pk =
         parse_field(f[2], t->columns()[t->primary_key_col()].type);
-    respond(conn, slot, rows_message([&](auto&& emit) {
+    rows_message(p.msg, [&](auto&& emit) {
       if (const Row* r = t->find(pk); r != nullptr) emit(*r);
-    }));
+    });
+    respond(slot);
     return;
   }
   if (cmd == "FINDBY" && nf == 4) {
     Table* t = lookup_table(f[1]);
     if (t == nullptr) {
-      respond(conn, slot, "ERR no-table");
+      respond(slot, "ERR no-table");
       return;
     }
     const std::size_t col = parse_u64(f[2]);
     if (col >= t->columns().size()) {
-      respond(conn, slot, "ERR bad-column");
+      respond(slot, "ERR bad-column");
       return;
     }
     const Value v = parse_field(f[3], t->columns()[col].type);
-    respond(conn, slot, rows_message([&](auto&& emit) {
-      t->for_each_match(col, v, emit);
-    }));
+    rows_message(p.msg,
+                 [&](auto&& emit) { t->for_each_match(col, v, emit); });
+    respond(slot);
     return;
   }
   if (cmd == "SCAN" && nf == 2) {
     Table* t = lookup_table(f[1]);
     if (t == nullptr) {
-      respond(conn, slot, "ERR no-table");
+      respond(slot, "ERR no-table");
       return;
     }
-    respond(conn, slot,
-            rows_message([&](auto&& emit) { t->for_each(emit); }));
+    rows_message(p.msg, [&](auto&& emit) { t->for_each(emit); });
+    respond(slot);
     return;
   }
-  respond(conn, slot, "ERR bad-command");
+  respond(slot, "ERR bad-command");
 }
 
 // ---------------------------------------------------------------------------
@@ -515,11 +543,18 @@ void DbClient::fail_all(const std::string& why) {
   }
 }
 
-void DbClient::send_command(std::string&& line, Callback cb) {
+sim::BufWriter DbClient::command() {
+  line_.clear();
+  return sim::BufWriter{line_};
+}
+
+void DbClient::send_command(sim::BufWriter& line, Callback cb) {
+  MCS_ASSERT(line.str().data() == line_.data(),
+             "commands are written into the client's line buffer");
   stats_.counter("commands").add();
   pending_.push_back(std::move(cb));
-  line += '\n';
-  socket_->send(line);
+  line.ch('\n');
+  socket_->send(line.view());
 }
 
 void DbClient::on_data(sim::Slice bytes) {
@@ -587,71 +622,68 @@ void DbClient::on_line(sim::Slice line) {
   deliver(std::move(r));
 }
 
-void DbClient::begin(Callback cb) { send_command("BEGIN", std::move(cb)); }
+void DbClient::begin(Callback cb) {
+  send_command(command().put("BEGIN"), std::move(cb));
+}
 void DbClient::commit(std::uint64_t txn, Callback cb) {
-  send_command(sim::cat("COMMIT ", sim::u64s(txn)), std::move(cb));
+  send_command(command().put("COMMIT ").u64(txn), std::move(cb));
 }
 void DbClient::abort_txn(std::uint64_t txn, Callback cb) {
-  send_command(sim::cat("ABORT ", sim::u64s(txn)), std::move(cb));
+  send_command(command().put("ABORT ").u64(txn), std::move(cb));
 }
 void DbClient::insert(std::uint64_t txn, const std::string& table,
                       const std::vector<std::string>& fields, Callback cb) {
   MCS_ASSERT(!table.empty() && !fields.empty(),
              "INS needs a named table and at least the primary-key field");
-  send_command(sim::build(16 + table.size(), [&](std::string& out) {
-    sim::BufWriter w{out};
-    w.put("INS ").u64(txn).ch(' ').put(table).ch(' ');
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      if (i > 0) w.ch('|');
-      esc_append(w, fields[i]);
-    }
-  }), std::move(cb));
+  sim::BufWriter w = command();
+  w.put("INS ").u64(txn).ch(' ').put(table).ch(' ');
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) w.ch('|');
+    esc_append(w, fields[i]);
+  }
+  send_command(w, std::move(cb));
 }
 void DbClient::update(std::uint64_t txn, const std::string& table,
                       const std::string& pk, std::size_t col,
                       const std::string& value, Callback cb) {
   MCS_ASSERT(!table.empty(),
              "UPD addresses its table by name; the server has no default");
-  send_command(sim::build(24 + table.size(), [&](std::string& out) {
-    sim::BufWriter w{out};
-    w.put("UPD ").u64(txn).ch(' ').put(table).ch(' ');
-    esc_append(w, pk);
-    w.ch(' ').u64(col).ch(' ');
-    esc_append(w, value);
-  }), std::move(cb));
+  sim::BufWriter w = command();
+  w.put("UPD ").u64(txn).ch(' ').put(table).ch(' ');
+  esc_append(w, pk);
+  w.ch(' ').u64(col).ch(' ');
+  esc_append(w, value);
+  send_command(w, std::move(cb));
 }
 void DbClient::erase(std::uint64_t txn, const std::string& table,
                      const std::string& pk, Callback cb) {
   MCS_ASSERT(!table.empty(),
              "DEL addresses its table by name; the server has no default");
-  send_command(sim::build(16 + table.size(), [&](std::string& out) {
-    sim::BufWriter w{out};
-    w.put("DEL ").u64(txn).ch(' ').put(table).ch(' ');
-    esc_append(w, pk);
-  }), std::move(cb));
+  sim::BufWriter w = command();
+  w.put("DEL ").u64(txn).ch(' ').put(table).ch(' ');
+  esc_append(w, pk);
+  send_command(w, std::move(cb));
 }
 void DbClient::get(const std::string& table, const std::string& pk,
                    Callback cb) {
   MCS_ASSERT(!table.empty(),
              "GET addresses its table by name; the server has no default");
-  send_command(sim::build(8 + table.size(), [&](std::string& out) {
-    sim::BufWriter w{out};
-    w.put("GET ").put(table).ch(' ');
-    esc_append(w, pk);
-  }), std::move(cb));
+  sim::BufWriter w = command();
+  w.put("GET ").put(table).ch(' ');
+  esc_append(w, pk);
+  send_command(w, std::move(cb));
 }
 void DbClient::find_by(const std::string& table, std::size_t col,
                        const std::string& value, Callback cb) {
   MCS_ASSERT(!table.empty(),
              "FINDBY addresses its table by name; the server has no default");
-  send_command(sim::build(16 + table.size(), [&](std::string& out) {
-    sim::BufWriter w{out};
-    w.put("FINDBY ").put(table).ch(' ').u64(col).ch(' ');
-    esc_append(w, value);
-  }), std::move(cb));
+  sim::BufWriter w = command();
+  w.put("FINDBY ").put(table).ch(' ').u64(col).ch(' ');
+  esc_append(w, value);
+  send_command(w, std::move(cb));
 }
 void DbClient::scan(const std::string& table, Callback cb) {
-  send_command(sim::cat("SCAN ", table), std::move(cb));
+  send_command(command().put("SCAN ").put(table), std::move(cb));
 }
 
 }  // namespace mcs::host::db

@@ -14,6 +14,7 @@
 #include "obs/trace.h"
 #include "sim/arena.h"
 #include "sim/contract.h"
+#include "sim/pool.h"
 #include "sim/stats.h"
 #include "transport/tcp.h"
 
@@ -124,13 +125,32 @@ class DbServer {
   const sim::StatsRegistry& stats() const { return stats_; }
   Database& database() { return db_; }
 
+  // What a scheduled response event captures: the server and the index of
+  // the response slot it completes. Trivially copyable and small, so the
+  // kernel keeps it in the event's inline buffer.
+  struct ResponseSlot {
+    DbServer* server = nullptr;
+    std::uint32_t slot = 0;
+    void operator()() const { server->complete(slot); }
+  };
+
  private:
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  // Message buffers past kKeptMessageBytes are "large"; idle slots keep
+  // at most kMaxLargeIdle of them (complete()).
+  static constexpr std::size_t kKeptMessageBytes = 256;
+  static constexpr std::size_t kMaxLargeIdle = 8;
+  struct Connection;
+  // One request's response, from its line's arrival to its flush.
   // Responses complete after different simulated delays (fsync vs. plain
-  // op), but the wire protocol matches responses to requests by order; the
-  // outbox holds per-request slots flushed strictly FIFO.
+  // op), but the wire protocol matches responses to requests by order: each
+  // connection chains its slots FIFO through `next` and flushes strictly in
+  // order. Slots are recycled with their message buffer's capacity.
   struct PendingResponse {
+    std::shared_ptr<Connection> conn;
     std::string msg;
     bool ready = false;
+    std::uint32_t next = kNoSlot;  // the connection's outbox chain
     // Span covering the operation from arrival to response flush (includes
     // op CPU, fsync queueing); closed in complete().
     obs::TraceContext ctx;
@@ -138,30 +158,37 @@ class DbServer {
   struct Connection {
     transport::TcpSocket::Ptr socket;
     std::string buffer;
-    std::deque<std::shared_ptr<PendingResponse>> outbox;
+    // Oldest and newest response slot not yet flushed.
+    std::uint32_t outbox_head = kNoSlot;
+    std::uint32_t outbox_tail = kNoSlot;
     // Transactions opened on this connection (owned server-side).
-    std::unordered_map<std::uint64_t, std::unique_ptr<Transaction>> txns;
+    std::unordered_map<std::uint64_t, TransactionPtr> txns;
   };
-  using Slot = std::shared_ptr<PendingResponse>;
 
   void on_accept(transport::TcpSocket::Ptr s);
   // `line` is a window of the connection's receive buffer (DESIGN.md §12);
   // fields are parsed as views and only escape into owning strings where a
-  // typed Value or map key demands one.
+  // typed Value or map key demands one. The response is written into the
+  // request's slot.
   void on_line(const std::shared_ptr<Connection>& conn, sim::Slice line);
-  void complete(const std::shared_ptr<Connection>& conn, const Slot& slot,
-                std::string&& msg);
-  void respond(const std::shared_ptr<Connection>& conn, const Slot& slot,
-               std::string&& msg);
-  void respond_commit(const std::shared_ptr<Connection>& conn,
-                      const Slot& slot, std::string&& msg);
+  // Mark `slot` ready and flush the in-order prefix of ready responses.
+  void complete(std::uint32_t slot);
+  // Answer `slot` after the operation's CPU time (respond) or once the
+  // commit is durable (respond_commit); the message is `msg`, or what the
+  // handler already wrote into the slot.
+  void respond(std::uint32_t slot);
+  void respond(std::uint32_t slot, sim::Slice msg);
+  void respond_commit(std::uint32_t slot, sim::Slice msg);
 
   transport::TcpStack& stack_;
   Database& db_;
   DbServerConfig cfg_;
-  // Group commit: pending (conn, slot, response) entries flushed together.
-  std::vector<std::tuple<std::shared_ptr<Connection>, Slot, std::string>>
-      pending_commits_;
+  sim::SlotPool<PendingResponse> slots_;
+  std::size_t large_idle_ = 0;  // idle slots holding a large buffer
+  // Group commit: the slots waiting for the window's fsync, and the batch
+  // being flushed (swapped, so both keep their capacity).
+  std::vector<std::uint32_t> pending_commits_;
+  std::vector<std::uint32_t> commit_batch_;
   bool group_timer_armed_ = false;
   // The WAL lives on one log device: fsyncs serialize on it.
   sim::Time log_busy_until_;
@@ -215,7 +242,11 @@ class DbClient {
   void on_data(sim::Slice bytes);
 
  private:
-  void send_command(std::string&& line, Callback cb);
+  // Each command is written into line_ (reused, so its capacity stays
+  // warm): command() clears it and returns a writer over it, and
+  // send_command() frames and sends what that writer wrote.
+  sim::BufWriter command();
+  void send_command(sim::BufWriter& line, Callback cb);
   void on_line(sim::Slice line);
   void deliver(Result&& r);
   void fail_all(const std::string& why);
@@ -224,6 +255,7 @@ class DbClient {
   net::Endpoint server_;
   transport::TcpSocket::Ptr socket_;
   std::string buffer_;
+  std::string line_;
   std::deque<Callback> pending_;
   // Multi-line response assembly.
   std::uint64_t rows_expected_ = 0;

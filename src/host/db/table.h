@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -64,6 +65,11 @@ class Table {
 
   std::size_t size() const { return live_rows_; }
 
+  // The exclusive write lock (database.h): the id of the transaction that
+  // holds it, 0 when the table is unlocked.
+  std::uint64_t lock_holder() const { return lock_holder_; }
+  void set_lock_holder(std::uint64_t txn) { lock_holder_ = txn; }
+
  private:
   // Dead slots chain through the slots themselves: erase/insert churn on
   // the steady state reuses storage with no free-list container to grow
@@ -93,6 +99,7 @@ class Table {
   std::map<Value, std::size_t, ValueLess> primary_;
   std::map<std::size_t, Index> indexes_;  // col -> index
   std::size_t live_rows_ = 0;
+  std::uint64_t lock_holder_ = 0;
 };
 
 }  // namespace mcs::host::db

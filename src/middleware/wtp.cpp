@@ -225,7 +225,26 @@ WtpEndpoint::ResponderTxn& WtpEndpoint::responder_txn(const RespKey& key) {
   return *txn;
 }
 
+void WtpEndpoint::FinishedTids::add(std::uint64_t tid) {
+  if (below == 0) first = tid;
+  if (below == 0 || tid > high) {
+    const std::uint64_t shift = below == 0 ? 64 : tid - high;
+    below = shift >= 64 ? 0 : below << shift;
+    below |= 1;
+    high = tid;
+  } else if (high - tid < 64) {
+    below |= std::uint64_t{1} << (high - tid);
+  }
+  MCS_INVARIANT(contains(tid), "a finished TID must read back as finished");
+}
+
+bool WtpEndpoint::FinishedTids::contains(std::uint64_t tid) const {
+  if (below == 0 || tid > high) return false;
+  return high - tid >= 64 || ((below >> (high - tid)) & 1) != 0;
+}
+
 void WtpEndpoint::release(RespMap::iterator it) {
+  finished_[it->second.key.from].add(it->second.key.tid);
   ++it->second.gen;
   it->second.invoke.retire();
   spare_responding_.park(responding_.extract(it));
@@ -270,7 +289,21 @@ void WtpEndpoint::on_datagram(sim::MutSlice data, net::Endpoint from) {
     const std::uint64_t tid = parse_u64(f[1]);
     const auto seg = static_cast<std::uint32_t>(parse_u64(f[2]));
     const auto total = static_cast<std::uint32_t>(parse_u64(f[3]));
-    ResponderTxn& txn = responder_txn(RespKey{from, tid});
+    const RespKey key{from, tid};
+    if (auto fin = finished_.find(from);
+        fin != finished_.end() && !responding_.contains(key)) {
+      if (tid == fin->second.first) {
+        // A new endpoint at the initiator's address numbers its TIDs from
+        // the same start (the frame has no TIDnew flag): a new window.
+        fin->second = FinishedTids{};
+      } else if (fin->second.contains(tid)) {
+        // A late copy of an invoke whose exchange is over (ACKed or
+        // expired) must not run the request again.
+        stats_.counter("stale_invokes").add();
+        return;
+      }
+    }
+    ResponderTxn& txn = responder_txn(key);
     if (txn.responded) {
       // Duplicate invoke after we answered: retransmit the cached result.
       stats_.counter("result_retransmissions").add();

@@ -173,6 +173,21 @@ class WtpEndpoint {
     bool handled = false;
     sim::EventId expiry = sim::kInvalidEventId;
   };
+  // The TIDs a responder has finished with one initiator. TIDs grow
+  // monotonically per initiator, so a window behind the highest finished
+  // one says whether an invoke is a late copy of a finished exchange: bit i
+  // of `below` is TID `high - i`; anything older than the window counts as
+  // finished too. An endpoint seeds its TIDs from its node's address, so
+  // a restarted initiator starts from the same TID again: the window's
+  // first TID therefore opens a new window, and a late copy of an
+  // initiator's first invoke still runs twice.
+  struct FinishedTids {
+    std::uint64_t first = 0;
+    std::uint64_t high = 0;
+    std::uint64_t below = 0;  // 0 = nothing finished yet
+    void add(std::uint64_t tid);
+    bool contains(std::uint64_t tid) const;
+  };
   using OutgoingMap = std::unordered_map<std::uint64_t, OutgoingTxn>;
   using RespMap = std::unordered_map<RespKey, ResponderTxn, RespKeyHash>;
 
@@ -194,6 +209,8 @@ class WtpEndpoint {
   std::uint64_t next_tid_ = 0;
   OutgoingMap outgoing_;
   RespMap responding_;
+  // Per initiator: one node per peer, none per transaction, and no timer.
+  std::unordered_map<net::Endpoint, FinishedTids> finished_;
   // Finished transactions' nodes, kept with their buffers for reuse.
   sim::NodeRecycler<OutgoingMap> spare_outgoing_;
   sim::NodeRecycler<RespMap> spare_responding_;

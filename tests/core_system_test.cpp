@@ -279,6 +279,121 @@ TEST(PaymentWireTest, TwoPhaseCommitPostsMatchGoldenWireBytes) {
             "POST /bank/abort?txn=k-2 HTTP/1.1\r\n\r\n");
 }
 
+// A lost COMMIT answer leaves the charge in doubt, not failed. A relay in
+// front of a real bank passes the first COMMIT through, then drops the
+// merchant's connection instead of relaying the bank's answer. The retry
+// asks the bank again, which replays COMMITTED, and only then is the order
+// recorded: money is conserved and exactly one order exists.
+TEST(PaymentInDoubtTest, LostCommitAnswerIsRetriedNotCachedAsFailure) {
+  sim::Simulator sim;
+  net::Network network{sim, 5};
+  net::Node* merchant = network.add_node("merchant");
+  net::Node* relay = network.add_node("relay");
+  net::Node* bank = network.add_node("bank");
+  network.connect(merchant, relay);
+  network.connect(relay, bank);
+  network.compute_routes();
+  transport::TcpStack merchant_tcp{*merchant};
+  transport::TcpStack relay_tcp{*relay};
+  transport::TcpStack bank_tcp{*bank};
+
+  host::HttpServer bank_http{bank_tcp, 80};
+  host::db::Database ledger{"bank"};
+  PaymentProcessor processor{bank_http, ledger, sim};
+  processor.open_account("acct1", 1000.0);
+
+  // The relay: bodiless POSTs in, forwarded to the bank, answers back.
+  host::HttpClient upstream{relay_tcp};
+  bool drop_next_commit = true;
+  std::vector<transport::TcpSocket::Ptr> accepted;
+  relay_tcp.listen(80, [&](transport::TcpSocket::Ptr s) {
+    auto in = std::make_shared<std::string>();
+    transport::TcpSocket* raw = s.get();
+    s->on_data = [&, in, raw](const std::string& bytes) {
+      *in += bytes;
+      for (std::size_t end; (end = in->find("\r\n\r\n")) !=
+                            std::string::npos;) {
+        // "POST <path> HTTP/1.1"
+        const std::string line = in->substr(0, in->find("\r\n"));
+        in->erase(0, end + 4);
+        const std::size_t sp = line.find(' ');
+        host::HttpRequest req;
+        req.set_method("POST");
+        req.set_path(line.substr(sp + 1, line.rfind(' ') - sp - 1));
+        const bool drop =
+            drop_next_commit && req.path().starts_with("/bank/commit");
+        if (drop) drop_next_commit = false;
+        upstream.request({bank->addr(), 80}, req,
+                         [raw, drop](std::optional<host::HttpResponse> r) {
+                           if (drop || !r.has_value()) {
+                             raw->close();
+                             return;
+                           }
+                           raw->send(r->serialize());
+                         });
+      }
+    };
+    accepted.push_back(std::move(s));
+  });
+
+  host::HttpClient http{merchant_tcp};
+  host::db::Database orders{"shop"};
+  PaymentCoordinator coordinator{http, {relay->addr(), 80}, orders, sim};
+  auto charge = [&] {
+    std::optional<PaymentCoordinator::Outcome> got;
+    coordinator.charge("k-doubt", "acct1", 250.0, "phone",
+                       [&](PaymentCoordinator::Outcome o) {
+                         got = std::move(o);
+                       });
+    sim.run();
+    return got;
+  };
+
+  const auto first = charge();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_FALSE(first->ok);
+  EXPECT_EQ(first->failure, "commit-in-doubt");
+  EXPECT_DOUBLE_EQ(processor.balance("acct1"), 750.0);  // the bank committed
+  EXPECT_EQ(orders.table("orders")->size(), 0u);
+
+  const auto retry = charge();
+  ASSERT_TRUE(retry.has_value());
+  EXPECT_TRUE(retry->ok) << retry->failure;
+  EXPECT_FALSE(retry->duplicate);
+  EXPECT_FALSE(retry->order_id.empty());
+
+  const auto replay = charge();
+  ASSERT_TRUE(replay.has_value());
+  EXPECT_TRUE(replay->ok);
+  EXPECT_TRUE(replay->duplicate);
+  EXPECT_EQ(replay->order_id, retry->order_id);
+
+  // Money is conserved: the account lost exactly what the one order holds.
+  ASSERT_EQ(orders.table("orders")->size(), 1u);
+  double ordered = 0.0;
+  orders.table("orders")->for_each(
+      [&](const host::db::Row& r) { ordered += std::get<double>(r[3]); });
+  EXPECT_DOUBLE_EQ(processor.balance("acct1") + ordered, 1000.0);
+  EXPECT_EQ(processor.stats().counter("commits").value(), 1u);
+  EXPECT_EQ(processor.reservations_active(), 0u);
+
+  // The bank replays COMMITTED only for a txn it committed: a COMMIT
+  // after an ABORT is refused.
+  std::vector<int> statuses;
+  for (const char* path : {"/bank/abort?txn=k-gone", "/bank/commit?txn=k-gone",
+                           "/bank/commit?txn=k-doubt"}) {
+    host::HttpRequest req;
+    req.set_method("POST");
+    req.set_path(path);
+    upstream.request({bank->addr(), 80}, req,
+                     [&](std::optional<host::HttpResponse> r) {
+                       statuses.push_back(r.has_value() ? r->status : 0);
+                     });
+    sim.run();
+  }
+  EXPECT_EQ(statuses, (std::vector<int>{200, 409, 200}));
+}
+
 TEST(PersonalizationTest, CatalogRankingFollowsInterests) {
   PersonalizationEngine eng;
   UserProfile alice;

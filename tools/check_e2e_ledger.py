@@ -1,17 +1,26 @@
 #!/usr/bin/env python3
 """check_e2e_ledger: ratchet the end-to-end allocation ledger.
 
-Reads the output of `python3 e2ebench/run.py --workload W --trace 0` (one
-file per workload: the readable report, then the JSON result line) and
-compares each workload's `allocs_per_txn` and `alloc_kb_per_txn` with the
-committed BENCH_e2e.json. Both are exact counts for a given toolchain: they
-do not depend on machine load, so the gate is a ratchet, not a tolerance:
+Reads the output of `python3 e2ebench/run.py --workload W --trace T` (one
+file per workload and trace mode: the readable report, then the JSON result
+line) and compares each workload's exact counts with the committed
+BENCH_e2e.json:
+
+  * untraced runs (--trace 0): `allocs_per_txn` and `alloc_kb_per_txn`;
+  * traced runs (--trace 1): the per-layer allocation counts of the layers
+    the purchase path crosses (`alloc.core.per_txn`, `alloc.host_db.per_txn`,
+    `alloc.host_web.per_txn`) and `sim.events_per_txn`.
+
+A run's mode is read from the metrics its result carries. All of these are
+exact counts for a given toolchain: they do not depend on machine load, so
+the gate is a ratchet, not a tolerance:
 
   * any rise fails;
   * a fall of more than 1e-6 (relative) also fails, with "commit the new
     baseline", so a gain is locked in by the change that makes it;
   * a result that is not "correct": true, was run at another seed, or is
-    missing for a workload the baseline lists fails too.
+    missing for a workload (or, where the baseline lists traced counts, for
+    its traced run) fails too.
 
 Host wall time is not gated here: it is a printed ratio (e2ebench/README.md).
 The counts come from the allocator of the toolchain that built the
@@ -20,6 +29,9 @@ commit a new baseline.
 
 Usage:
   check_e2e_ledger.py [--baseline BENCH_e2e.json] RESULT.txt [RESULT.txt ...]
+
+A workload's traced counts live in BENCH_e2e.json next to its untraced
+ones, under the metric names above.
 
 Exit status: 0 ok, 1 gate failure, 2 usage/schema error.
 """
@@ -35,7 +47,9 @@ from pathlib import Path
 from bench_gate import load_bench_json, report
 
 TOOL = "check_e2e_ledger"
-METRICS = ("allocs_per_txn", "alloc_kb_per_txn")
+UNTRACED = ("allocs_per_txn", "alloc_kb_per_txn")
+TRACED = ("alloc.core.per_txn", "alloc.host_db.per_txn",
+          "alloc.host_web.per_txn", "sim.events_per_txn")
 FALL_SLACK = 1e-6
 HEADER = re.compile(r"^workload (\S+) \(seed (\d+)\)")
 
@@ -69,10 +83,13 @@ def main() -> int:
     base = load_bench_json(args.baseline, TOOL, bench="e2e",
                            required=("seed", "workloads"))
     failures: list[str] = []
-    seen: set[str] = set()
+    seen: dict[str, set[str]] = {}  # workload -> {"untraced", "traced"}
     for path in args.results:
         workload, seed, result = read_result(path)
-        seen.add(workload)
+        metrics = result.get("metrics", {})
+        traced = TRACED[-1] in metrics
+        mode = "traced" if traced else "untraced"
+        seen.setdefault(workload, set()).add(mode)
         want = base["workloads"].get(workload)
         if want is None:
             failures.append(f"{workload}: not in {args.baseline}")
@@ -82,24 +99,32 @@ def main() -> int:
                             f"is seed {base['seed']}")
             continue
         if result.get("correct") is not True:
-            failures.append(f"{workload}: result is not correct")
+            failures.append(f"{workload} ({mode}): result is not correct")
             continue
-        metrics = result.get("metrics", {})
-        for name in METRICS:
+        for name in TRACED if traced else UNTRACED:
             if name not in metrics:
-                failures.append(f"{workload}: no {name} (run with --trace 0)")
+                failures.append(f"{workload}: no {name} in the {mode} run")
+                continue
+            if name not in want:
+                if traced:
+                    continue  # the baseline does not ratchet traced counts
+                failures.append(f"{workload}: no {name} in {args.baseline}")
                 continue
             cur = float(metrics[name]["value"])
             ref = float(want[name])
-            print(f"  {workload:20s} {name:18s} {cur:14.6f}  "
+            print(f"  {workload:20s} {name:24s} {cur:14.6f}  "
                   f"baseline {ref:14.6f}")
             if cur > ref:
                 failures.append(f"{workload}: {name} rose {ref!r} -> {cur!r}")
             elif cur < ref * (1.0 - FALL_SLACK):
                 failures.append(f"{workload}: {name} fell {ref!r} -> {cur!r}; "
                                 f"commit the new baseline to {args.baseline}")
-    for workload in sorted(set(base["workloads"]) - seen):
-        failures.append(f"{workload}: no result given")
+    for workload, want in sorted(base["workloads"].items()):
+        modes = seen.get(workload, set())
+        if "untraced" not in modes:
+            failures.append(f"{workload}: no result given")
+        if any(name in want for name in TRACED) and "traced" not in modes:
+            failures.append(f"{workload}: no --trace 1 result given")
     return report(TOOL, failures,
                   f"{len(seen)} workload(s) at the committed ledger")
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Tests for check_e2e_ledger.py over synthetic e2ebench/run.py outputs:
 equal passes, any rise fails, a fall fails until the baseline is committed,
-and wrong seeds, incorrect or missing results fail. Registered in ctest as
-e2e_ledger_gate_test."""
+and wrong seeds, incorrect or missing results fail, for the untraced
+allocation totals and for the traced per-layer counts alike. Registered in
+ctest as e2e_ledger_gate_test."""
 
 from __future__ import annotations
 
@@ -34,11 +35,38 @@ def run_output(workload: str, allocs: float, kb: float, seed: int = 2003,
             f"  allocs_per_txn {allocs}\n{json.dumps(result)}\n")
 
 
+TRACED = {"alloc.core.per_txn": 7.25, "alloc.host_db.per_txn": 9.5,
+          "alloc.host_web.per_txn": 14.75, "sim.events_per_txn": 73.125}
+
+TRACED_BASELINE = {
+    "bench": "e2e",
+    "seed": 2003,
+    "workloads": {"wl-a": {"allocs_per_txn": 100.5, "alloc_kb_per_txn": 10.25,
+                           **TRACED}},
+}
+
+
+def traced_output(workload: str, seed: int = 2003, correct: bool = True,
+                  **overrides: float) -> str:
+    """A --trace 1 run: per-layer metrics, no allocation totals."""
+    values = dict(TRACED, **{k.replace("__", "."): v
+                             for k, v in overrides.items()})
+    metrics = {name: {"value": v, "unit": "count"}
+               for name, v in values.items()}
+    metrics["alloc.station.per_txn"] = {"value": 0, "unit": "count"}
+    result = {"correct": correct, "attempted": 20, "failed": 0,
+              "metrics": metrics}
+    return (f"workload {workload} (seed {seed}): synthetic\n"
+            f"  sim.events_per_txn {values['sim.events_per_txn']}\n"
+            f"{json.dumps(result)}\n")
+
+
 class LedgerGateTest(unittest.TestCase):
-    def gate(self, *outputs: str) -> subprocess.CompletedProcess:
+    def gate(self, *outputs: str,
+             baseline: dict = BASELINE) -> subprocess.CompletedProcess:
         with tempfile.TemporaryDirectory() as tmp:
             base = Path(tmp) / "BENCH_e2e.json"
-            base.write_text(json.dumps(BASELINE), encoding="utf-8")
+            base.write_text(json.dumps(baseline), encoding="utf-8")
             paths = []
             for i, text in enumerate(outputs):
                 p = Path(tmp) / f"run{i}.txt"
@@ -79,6 +107,49 @@ class LedgerGateTest(unittest.TestCase):
                       run_output("wl-b", 60.0, 9.0))
         self.assertEqual(r.returncode, 1)
         self.assertIn("not correct", r.stderr)
+
+    def traced_gate(self, traced: str) -> subprocess.CompletedProcess:
+        return self.gate(run_output("wl-a", 100.5, 10.25), traced,
+                         baseline=TRACED_BASELINE)
+
+    def test_traced_counts_equal_pass(self):
+        r = self.traced_gate(traced_output("wl-a"))
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("alloc.host_db.per_txn", r.stdout)
+
+    def test_traced_rise_fails(self):
+        r = self.traced_gate(traced_output("wl-a", alloc__host_web__per_txn=15.0))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("alloc.host_web.per_txn rose", r.stderr)
+        r = self.traced_gate(traced_output("wl-a", sim__events_per_txn=73.5))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("sim.events_per_txn rose", r.stderr)
+
+    def test_traced_fall_asks_for_new_baseline(self):
+        r = self.traced_gate(traced_output("wl-a", alloc__core__per_txn=6.0))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("alloc.core.per_txn fell", r.stderr)
+        self.assertIn("commit the new baseline", r.stderr)
+
+    def test_traced_run_missing_wrong_seed_or_incorrect_fails(self):
+        r = self.gate(run_output("wl-a", 100.5, 10.25),
+                      baseline=TRACED_BASELINE)
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("wl-a: no --trace 1 result given", r.stderr)
+        r = self.traced_gate(traced_output("wl-a", seed=7919))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("seed 7919", r.stderr)
+        r = self.traced_gate(traced_output("wl-a", correct=False))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("(traced): result is not correct", r.stderr)
+
+    def test_untraced_baseline_ignores_traced_runs(self):
+        # A baseline without traced counts does not ask for a traced run,
+        # and does not gate one that is given.
+        r = self.gate(run_output("wl-a", 100.5, 10.25),
+                      run_output("wl-b", 60.0, 9.0),
+                      traced_output("wl-a", alloc__core__per_txn=99.0))
+        self.assertEqual(r.returncode, 0, r.stderr)
 
     def test_garbage_is_a_usage_error(self):
         r = self.gate("no report here\n")

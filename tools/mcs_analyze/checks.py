@@ -651,6 +651,17 @@ HOTPATH_ENTRIES = (
     ("browser", "MicroBrowser", "secure_invoke"),
     ("host", "DbServer", "on_line"),
     ("host", "DbClient", "on_data"),
+    # The purchase write path (DESIGN.md §12.2): the 2PC coordinator and the
+    # bank's participant handlers are reached through std::function hops
+    # (the app program's callback, the HTTP routes), and the transaction
+    # API is the one every DB write goes through.
+    ("core", "PaymentCoordinator", "charge"),
+    ("core", "PaymentProcessor", "handle_prepare"),
+    ("core", "PaymentProcessor", "handle_commit"),
+    ("host", "Transaction", "insert"),
+    ("host", "Transaction", "update"),
+    ("host", "Transaction", "commit"),
+    ("host", "Database", "begin"),
     ("export", "StatsRegistry", "to_json"),
 )
 
