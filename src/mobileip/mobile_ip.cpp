@@ -202,6 +202,9 @@ ForeignAgent::ForeignAgent(net::Node& router, transport::UdpStack& udp,
 }
 
 void ForeignAgent::visitor_departed(net::IpAddress home_addr) {
+  MCS_ASSERT(!home_addr.is_unspecified() && home_addr != router_.addr(),
+             "visitor_departed() needs a visitor's home address, not the "
+             "agent's own");
   if (visitors_.erase(home_addr) > 0) {
     router_.remove_route(home_addr);
     stats_.counter("visitor_departures").add();
@@ -364,6 +367,8 @@ void MobileIpClient::attach(net::IpAddress agent_addr, net::IpAddress next_hop) 
 }
 
 void MobileIpClient::detach() {
+  MCS_ASSERT(!current_agent_.is_unspecified(),
+             "detach() without a cell: attach() first, detach once per loss");
   cancel_timers();
   current_agent_ = net::kUnspecified;
   registered_ = false;

@@ -624,6 +624,8 @@ void TcpStack::listen(std::uint16_t port, AcceptCallback cb,
 
 TcpSocket::Ptr TcpStack::connect(net::Endpoint remote,
                                  std::optional<TcpConfig> cfg) {
+  MCS_ASSERT(!remote.addr.is_unspecified() && remote.port != 0,
+             "connect() needs the remote address and port");
   const net::Endpoint local{node_.addr(), allocate_port()};
   TcpSocket::Ptr sock{
       new TcpSocket(*this, local, remote, cfg.value_or(default_config_))};

@@ -1,11 +1,12 @@
-"""bench_gate: shared plumbing for the BENCH_*.json CI gate scripts.
+"""bench_gate: shared plumbing for the BENCH_*.json gate scripts.
 
-Every check_*_bench.py script does the same three things around its actual
-checks: load a bench JSON and validate its `bench` tag (exit 2 on schema or
-I/O problems), accumulate failure strings while printing per-item detail,
-and report either "ok" (exit 0) or the failure list (exit 1). This module
-is that boilerplate, factored once; the gate-specific thresholds and
-comparisons stay in the individual scripts.
+Every check_*.py gate does the same things around its actual checks: load
+a bench JSON and validate its `bench` tag (exit 2 on schema or I/O
+problems), accumulate failure strings while printing per-item detail, and
+report either "ok" (exit 0) or the failure list (exit 1). The gates that
+pin exact counters also share one rule for them, `ratchet`. This module is
+that code, factored once; which columns each gate compares stays in the
+individual scripts.
 
 Exit-status contract (shared by all gates): 0 ok, 1 gate failure,
 2 usage/schema error.
@@ -38,6 +39,22 @@ def load_bench_json(path: Path, tool: str, bench: str | None = None,
             print(f"{tool}: {path} missing '{key}'", file=sys.stderr)
             sys.exit(2)
     return data
+
+
+# A fall smaller than this (relative) is float formatting, not a gain.
+FALL_SLACK = 1e-6
+
+
+def ratchet(label: str, name: str, cur: float, ref: float,
+            baseline: Path, failures: list[str]) -> None:
+    """The rule for an exact, lower-is-better counter: any rise fails, and
+    a fall fails too until `baseline` is re-committed, so a gain is locked
+    in by the change that makes it."""
+    if cur > ref:
+        failures.append(f"{label}: {name} rose {ref!r} -> {cur!r}")
+    elif cur < ref * (1.0 - FALL_SLACK):
+        failures.append(f"{label}: {name} fell {ref!r} -> {cur!r}; "
+                        f"commit the new baseline to {baseline}")
 
 
 def report(tool: str, failures: list[str], ok_detail: str = "") -> int:

@@ -7,13 +7,14 @@ line) and compares each workload's exact counts with the committed
 BENCH_e2e.json:
 
   * untraced runs (--trace 0): `allocs_per_txn` and `alloc_kb_per_txn`;
-  * traced runs (--trace 1): the per-layer allocation counts of the layers
-    the purchase path crosses (`alloc.core.per_txn`, `alloc.host_db.per_txn`,
-    `alloc.host_web.per_txn`) and `sim.events_per_txn`.
+  * traced runs (--trace 1): the per-layer allocation counts
+    (`alloc.<layer>.per_txn` of the workload driver, core, station,
+    middleware, host_db, host_web and unattributed layers) and
+    `sim.events_per_txn`.
 
 A run's mode is read from the metrics its result carries. All of these are
 exact counts for a given toolchain: they do not depend on machine load, so
-the gate is a ratchet, not a tolerance:
+the gate is a ratchet (bench_gate.ratchet), not a tolerance:
 
   * any rise fails;
   * a fall of more than 1e-6 (relative) also fails, with "commit the new
@@ -44,13 +45,14 @@ import re
 import sys
 from pathlib import Path
 
-from bench_gate import load_bench_json, report
+from bench_gate import load_bench_json, ratchet, report
 
 TOOL = "check_e2e_ledger"
 UNTRACED = ("allocs_per_txn", "alloc_kb_per_txn")
-TRACED = ("alloc.core.per_txn", "alloc.host_db.per_txn",
-          "alloc.host_web.per_txn", "sim.events_per_txn")
-FALL_SLACK = 1e-6
+TRACED = ("alloc.workload.per_txn", "alloc.core.per_txn",
+          "alloc.station.per_txn", "alloc.middleware.per_txn",
+          "alloc.host_db.per_txn", "alloc.host_web.per_txn",
+          "alloc.unattributed.per_txn", "sim.events_per_txn")
 HEADER = re.compile(r"^workload (\S+) \(seed (\d+)\)")
 
 
@@ -112,13 +114,9 @@ def main() -> int:
                 continue
             cur = float(metrics[name]["value"])
             ref = float(want[name])
-            print(f"  {workload:20s} {name:24s} {cur:14.6f}  "
+            print(f"  {workload:20s} {name:26s} {cur:14.6f}  "
                   f"baseline {ref:14.6f}")
-            if cur > ref:
-                failures.append(f"{workload}: {name} rose {ref!r} -> {cur!r}")
-            elif cur < ref * (1.0 - FALL_SLACK):
-                failures.append(f"{workload}: {name} fell {ref!r} -> {cur!r}; "
-                                f"commit the new baseline to {args.baseline}")
+            ratchet(workload, name, cur, ref, args.baseline, failures)
     for workload, want in sorted(base["workloads"].items()):
         modes = seen.get(workload, set())
         if "untraced" not in modes:

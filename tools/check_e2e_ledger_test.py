@@ -35,8 +35,10 @@ def run_output(workload: str, allocs: float, kb: float, seed: int = 2003,
             f"  allocs_per_txn {allocs}\n{json.dumps(result)}\n")
 
 
-TRACED = {"alloc.core.per_txn": 7.25, "alloc.host_db.per_txn": 9.5,
-          "alloc.host_web.per_txn": 14.75, "sim.events_per_txn": 73.125}
+TRACED = {"alloc.workload.per_txn": 1.5, "alloc.core.per_txn": 7.25,
+          "alloc.station.per_txn": 2.0, "alloc.middleware.per_txn": 0.0,
+          "alloc.host_db.per_txn": 9.5, "alloc.host_web.per_txn": 14.75,
+          "alloc.unattributed.per_txn": 3.125, "sim.events_per_txn": 73.125}
 
 TRACED_BASELINE = {
     "bench": "e2e",
@@ -53,7 +55,7 @@ def traced_output(workload: str, seed: int = 2003, correct: bool = True,
                              for k, v in overrides.items()})
     metrics = {name: {"value": v, "unit": "count"}
                for name, v in values.items()}
-    metrics["alloc.station.per_txn"] = {"value": 0, "unit": "count"}
+    metrics["alloc.net.per_txn"] = {"value": 0, "unit": "count"}
     result = {"correct": correct, "attempted": 20, "failed": 0,
               "metrics": metrics}
     return (f"workload {workload} (seed {seed}): synthetic\n"
@@ -124,6 +126,26 @@ class LedgerGateTest(unittest.TestCase):
         r = self.traced_gate(traced_output("wl-a", sim__events_per_txn=73.5))
         self.assertEqual(r.returncode, 1)
         self.assertIn("sim.events_per_txn rose", r.stderr)
+
+    def test_every_traced_layer_is_ratcheted(self):
+        for layer in ("workload", "station", "middleware", "unattributed"):
+            r = self.traced_gate(traced_output(
+                "wl-a", **{f"alloc__{layer}__per_txn":
+                           TRACED[f"alloc.{layer}.per_txn"] + 0.25}))
+            self.assertEqual(r.returncode, 1, layer)
+            self.assertIn(f"alloc.{layer}.per_txn rose", r.stderr)
+        r = self.traced_gate(traced_output("wl-a",
+                                           alloc__unattributed__per_txn=3.0))
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("alloc.unattributed.per_txn fell", r.stderr)
+
+    def test_traced_layer_missing_from_run_fails(self):
+        text = traced_output("wl-a").replace('"alloc.middleware.per_txn"',
+                                             '"alloc.other.per_txn"')
+        r = self.traced_gate(text)
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("no alloc.middleware.per_txn in the traced run",
+                      r.stderr)
 
     def test_traced_fall_asks_for_new_baseline(self):
         r = self.traced_gate(traced_output("wl-a", alloc__core__per_txn=6.0))

@@ -31,8 +31,7 @@ The last four run over the project call graph (callgraph.py, DESIGN.md §11)
 rather than file by file.
 
 Suppress a finding with `// mcs-analyze: allow(<check>)` on (or directly
-above) the offending line; legacy `// detlint: allow(<rule>)` spellings are
-honored for the rules detlint had.
+above) the offending line.
 """
 
 from __future__ import annotations

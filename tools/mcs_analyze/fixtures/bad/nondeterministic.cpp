@@ -1,7 +1,7 @@
-// Fixture: every construct below must be reported by detlint. The ctest
-// `detlint_selftest_catches_violations` runs the lint over this directory
-// with WILL_FAIL, so a lint regression that stops catching any class of
-// violation shows up as a test failure.
+// Fixture: every construct below must be reported by the determinism family
+// (rng, wallclock, uninit-pod, unordered-sink), 9 findings in all; selftest
+// pins the count per check, so a regression that stops catching any class
+// of violation fails it.
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
@@ -32,7 +32,7 @@ inline long banned_wall_clock() {
 
 inline void banned_unordered_scheduling(Scheduler& sched) {
   std::unordered_map<int, int> sessions;
-  for (auto& [id, state] : sessions) {  // unordered-sched
+  for (auto& [id, state] : sessions) {  // unordered-sink
     (void)id, (void)state;
     sched.after(10, nullptr);
   }

@@ -1,6 +1,5 @@
-// Fixture: idiomatic deterministic simulation code that detlint must accept,
-// including the documented suppression escape hatch. Run by the ctest
-// `detlint_selftest_passes_clean_code`.
+// Fixture: idiomatic deterministic simulation code that the determinism
+// checks must accept, including the documented suppression escape hatch.
 #include <cstdint>
 #include <map>
 #include <string>
@@ -45,7 +44,7 @@ inline void ordered_iteration_schedules(Scheduler& sched,
 inline int suppressed_unordered_total(Scheduler& sched,
                                       std::unordered_map<int, int>& acc) {
   int total = 0;
-  for (auto& [k, v] : acc) {  // detlint: allow(unordered-sched)
+  for (auto& [k, v] : acc) {  // mcs-analyze: allow(unordered-sink)
     total += v;
     sched.after(total, nullptr);
   }
